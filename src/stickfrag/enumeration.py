@@ -3,9 +3,11 @@
 After N stages every leaf stick is identified by a weak composition
 (k1, ..., km) of N: its length is p1^k1 * ... * pm^km and the number of
 leaves sharing it is the multinomial coefficient N!/(k1!...km!).  This module
-streams the compositions in a fixed order, evaluates log-multinomial weights,
-and aggregates the exact weighted distribution of fractional parts of
-log-lengths without materializing the m^N sticks.
+builds the table of all C(N+m-1, m-1) compositions in a fixed order,
+evaluates log-multinomial weights over it in fixed-size chunks, and
+aggregates the exact weighted distribution of fractional parts of
+log-lengths without materializing the m^N sticks.  compositions() streams
+the same rows one at a time, as an independent reference.
 
 All mass arithmetic happens in log space: for N=1000 the raw masses are far
 below the double-precision underflow threshold, so masses are exponentiated
@@ -142,22 +144,31 @@ def compositions(N: int, m: int) -> Iterator[Composition]:
 
 
 def composition_array(N: int, m: int) -> np.ndarray:
-    """All weak compositions as an int64 array, rows in compositions() order."""
+    """All weak compositions as a C-contiguous int64 array, rows in compositions() order.
+
+    Built one column (level) at a time with vectorised steps.  Each partial
+    row carries rem, what is left of N for its remaining parts.  Level 1 is
+    k1 = N..0.  At each middle level every partial row with remainder r
+    expands into r+1 children (np.repeat), whose next part runs r..0, so
+    children stay grouped under their parent in descending order.  The last
+    part takes whatever remains.
+    """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     if N < 0:
         raise ValueError(f"need N >= 0, got {N}")
-
-    def rows(n: int, parts: int) -> np.ndarray:
-        if parts == 1:
-            return np.array([[n]], dtype=np.int64)
-        blocks = []
-        for first in range(n, -1, -1):
-            sub = rows(n - first, parts - 1)
-            blocks.append(np.hstack([np.full((len(sub), 1), first, dtype=np.int64), sub]))
-        return np.vstack(blocks)
-
-    return rows(N, m)
+    rem = np.arange(N + 1, dtype=np.int64)
+    cols = [N - rem]
+    for _ in range(m - 2):
+        counts = rem + 1
+        parent = np.repeat(np.arange(len(rem), dtype=np.int64), counts)
+        # child i of a parent with remainder r takes r - i and leaves i
+        offset = np.arange(len(parent), dtype=np.int64) - (np.cumsum(counts) - counts)[parent]
+        cols = [c[parent] for c in cols]
+        cols.append(rem[parent] - offset)
+        rem = offset
+    cols.append(rem)
+    return np.column_stack(cols)
 
 
 def log_multinomial(N: int, k: Composition | Sequence[int]) -> float:

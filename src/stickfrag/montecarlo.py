@@ -27,6 +27,7 @@ from .enumeration import (
     MEASURE_UNIFORM,
     MEASURES,
     WeightedMod1Distribution,
+    _frac,
     _kahan_columns,
     distribution_from_residues,
 )
@@ -107,9 +108,7 @@ def _sample_chunk(config: SamplerConfig, N: int, base: int, chunk_index: int, n:
                 idx = np.minimum((P.cumsum(axis=1) < u[:, None]).sum(axis=1), m - 1)
             chosen = P[np.arange(n), idx]
             total += np.log10(chosen) if base == 10 else np.log(chosen) / log_base
-    r = total - np.floor(total)
-    r[(1.0 - r) <= 1e-12] = 0.0
-    return r
+    return _frac(total)
 
 
 def sample_leaf_residues(

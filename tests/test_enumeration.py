@@ -59,10 +59,32 @@ class TestCompositions:
     def test_count_example_n1000_m3(self):
         assert composition_count(1000, 3) == math.comb(1002, 2) == 501501
 
-    @pytest.mark.parametrize("N,m", [(6, 2), (5, 3), (4, 4), (3, 5), (0, 3)])
+    @pytest.mark.parametrize(
+        "N,m",
+        [(6, 2), (5, 3), (4, 4), (3, 5), (0, 3),
+         (0, 2), (1, 2), (37, 2),  # m=2: no middle level
+         (0, 4), (0, 5), (0, 6), (10, 6),
+         (200, 3), (40, 4)],  # the benchmark's shapes
+    )
     def test_array_matches_stream(self, N, m):
         arr = composition_array(N, m)
         assert arr.tolist() == [list(c.k) for c in compositions(N, m)]
+
+    @pytest.mark.parametrize("N,m", [(1000, 3), (100, 4)])
+    def test_array_properties_at_scale(self, N, m):
+        # every row a composition of N, rows strictly descending
+        # lexicographically, and as many rows as compositions: together these
+        # pin down the compositions() order without streaming it
+        arr = composition_array(N, m)
+        assert arr.dtype == np.int64 and arr.flags.c_contiguous
+        assert arr.shape == (composition_count(N, m), m)
+        assert arr.min() >= 0
+        assert np.all(arr.sum(axis=1) == N)
+        diff = arr[:-1] - arr[1:]
+        nonzero = diff != 0
+        first = np.argmax(nonzero, axis=1)
+        assert np.all(nonzero.any(axis=1))
+        assert np.all(diff[np.arange(len(diff)), first] > 0)
 
 
 class TestLogMultinomial:
