@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--measure", choices=MEASURES, default=MEASURE_UNIFORM)
     p_analyze.add_argument("--out", required=True, help="output directory for this run")
     p_analyze.add_argument("--cap", type=int, default=DEFAULT_CAP, help="composition-count guard")
-    p_analyze.add_argument("--threads", type=int, default=1)
+    p_analyze.add_argument("--threads", type=int, default=1, help="accepted; enumeration runs single-threaded")
     p_analyze.add_argument("--ks-threshold", type=float, default=DEFAULT_KS_THRESHOLD)
     p_analyze.add_argument("--length", type=float, default=1.0, help="initial stick length L")
     p_analyze.set_defaults(func=cmd_analyze)

@@ -142,10 +142,10 @@ def sample_leaf_residues(
 
 def write_samples_csv(residues: np.ndarray, path: str | Path) -> None:
     """Dump 'sample_index,residue' rows in stream order."""
-    lines = ["sample_index,residue"]
-    for i, r in enumerate(residues):
-        lines.append(f"{i},{r:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    # same idiom as enumeration.write_distribution_csv
+    with open(path, "w") as f:
+        f.write("sample_index,residue\n")
+        f.writelines(f"{i},{r:.17g}\n" for i, r in enumerate(residues.tolist()))
 
 
 def write_metadata_json(config: SamplerConfig, N: int, base: int, config_echo: dict, path: str | Path) -> None:

@@ -207,9 +207,13 @@ def exact_residue_distribution(
             r += (s % b) * steps[i]
         r %= lcm
         if measure == MEASURE_UNIFORM:
-            mult = math.factorial(N)
+            # N!/(k1!...km!) = prod_j C(k1+...+kj, kj): exact integers, with
+            # no N! per composition and no factorial table growing with N
+            mult = 1
+            head = 0
             for kj in comp.k:
-                mult //= math.factorial(kj)
+                head += kj
+                mult *= math.comb(head, kj)
             counts[r] = counts.get(r, 0) + mult
         else:
             w = math.exp(log_multinomial(N, comp) + sum(kj * lp for kj, lp in zip(comp.k, log_p)))
@@ -280,10 +284,10 @@ def cross_check(
 
 def write_leaves_csv(leaves: LeafList, path: str | Path) -> None:
     """Dump 'leaf_index,length' rows in depth-first leaf order."""
-    lines = ["leaf_index,length"]
-    for i, length in enumerate(leaves.lengths):
-        lines.append(f"{i},{length:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    # same idiom as enumeration.write_distribution_csv
+    with open(path, "w") as f:
+        f.write("leaf_index,length\n")
+        f.writelines(f"{i},{length:.17g}\n" for i, length in enumerate(leaves.lengths.tolist()))
 
 
 def write_exact_residues_csv(rows: list[tuple[Fraction, float]], lcm: int, path: str | Path) -> None:

@@ -18,7 +18,7 @@ from stickfrag import (
     rotate_distribution,
     write_distribution_csv,
 )
-from stickfrag.enumeration import composition_array
+from stickfrag.enumeration import MERGE_TOL, _merge_atoms, composition_array
 
 
 def exact_multinomial(N, k):
@@ -27,6 +27,48 @@ def exact_multinomial(N, k):
     for kj in k:
         v //= math.factorial(kj)
     return v
+
+
+def reference_merge(residues, weights, loop_max=4096):
+    """_merge_atoms with its former per-cluster loop: two slice sums per cluster.
+
+    Up to loop_max clusters it sums each cluster's 1-d slice, above that it
+    uses bincount, as _merge_atoms does at loop_max=4096.
+    """
+    order = np.argsort(residues, kind="stable")
+    r = residues[order]
+    w = weights[order]
+    boundary = np.empty(len(r), dtype=bool)
+    boundary[0] = True
+    np.greater(np.diff(r), MERGE_TOL, out=boundary[1:])
+    cid = np.cumsum(boundary) - 1
+    n_clusters = int(cid[-1]) + 1
+    if n_clusters <= loop_max:
+        starts = np.flatnonzero(boundary)
+        ends = np.append(starts[1:], len(r))
+        mass = np.array([w[a:b].sum() for a, b in zip(starts, ends)])
+        rep = np.array([r[a:b].sum() for a, b in zip(starts, ends)]) / (ends - starts)
+    else:
+        mass = np.bincount(cid, weights=w, minlength=n_clusters)
+        counts = np.bincount(cid, minlength=n_clusters)
+        rep = np.bincount(cid, weights=r, minlength=n_clusters) / counts
+    return rep, mass
+
+
+def clustered_atoms(lens, seed):
+    """Shuffled atoms in len(lens) clusters; cluster i holds lens[i] atoms
+    jittered well inside the merge tolerance, clusters far apart."""
+    rng = np.random.default_rng(seed)
+    lens = np.asarray(lens)
+    centers = (np.arange(len(lens)) + 0.5) / len(lens)
+    residues = np.repeat(centers, lens) + rng.uniform(-0.4 * MERGE_TOL, 0.4 * MERGE_TOL, lens.sum())
+    weights = rng.random(lens.sum())
+    perm = rng.permutation(lens.sum())
+    return residues[perm], weights[perm]
+
+
+def bits(a):
+    return a.view(np.int64)
 
 
 class TestCompositions:
@@ -238,6 +280,40 @@ class TestExactDistribution:
         for r, _, ll in raw:
             i = int(np.argmin(np.abs(d.residues - r)))
             assert abs(d.residues[i] - r) < 1e-9
+
+
+class TestMergeAtoms:
+    @pytest.mark.parametrize(
+        "lens",
+        [
+            [7] * 300 + [3] * 200 + [40] * 50,  # many clusters share a length
+            list(range(1, 300)),  # every length distinct
+            [100_000],  # one big cluster
+            [100_000, 100_000, 9],  # two big clusters of one length
+            [1] * 2000,  # singletons
+        ],
+        ids=["shared", "distinct", "big", "big-pair", "singletons"],
+    )
+    def test_bit_identical_to_slice_loop(self, lens):
+        residues, weights = clustered_atoms(lens, seed=len(lens))
+        rep, mass = _merge_atoms(residues, weights)
+        ref_rep, ref_mass = reference_merge(residues, weights)
+        assert len(rep) == len(lens)
+        assert np.array_equal(bits(rep), bits(ref_rep))
+        assert np.array_equal(bits(mass), bits(ref_mass))
+
+    @pytest.mark.parametrize("n_clusters,other_loop_max", [(4096, 4095), (4097, 4097)])
+    def test_branch_boundary(self, n_clusters, other_loop_max):
+        # 4096 clusters take the pairwise sums, 4097 take bincount; lengths
+        # up to 40 make the two disagree, so a moved boundary shows
+        lens = np.random.default_rng(n_clusters).integers(1, 41, n_clusters)
+        residues, weights = clustered_atoms(lens, seed=n_clusters)
+        rep, mass = _merge_atoms(residues, weights)
+        ref_rep, ref_mass = reference_merge(residues, weights)
+        assert np.array_equal(bits(rep), bits(ref_rep))
+        assert np.array_equal(bits(mass), bits(ref_mass))
+        other_rep, other_mass = reference_merge(residues, weights, loop_max=other_loop_max)
+        assert not (np.array_equal(bits(other_rep), bits(rep)) and np.array_equal(bits(other_mass), bits(mass)))
 
 
 class TestRotation:
