@@ -135,8 +135,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _log(f"{exc}; consider `stickfrag simulate` for this size")
         return EXIT_RESOURCE
     if args.length != 1.0:
-        if args.length <= 0 or not math.isfinite(args.length):
-            raise ConfigError(f"--length must be positive and finite, got {args.length}")
         shift = math.log10(args.length) if base == 10 else math.log(args.length) / math.log(base)
         rotated = rotate_distribution(dist, shift)
         drift = abs(star_discrepancy(rotated) - star_discrepancy(dist))
@@ -188,6 +186,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer in [lo, hi), so a bad flag exits 2 before any work."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value >= hi):
+            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return integer
+
+
+def _positive_finite_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stickfrag",
@@ -201,35 +219,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="rationality verdicts and Benford prediction")
     add_common(p_classify)
-    p_classify.add_argument("--max-denominator", type=int, default=DEFAULT_MAX_DENOMINATOR)
-    p_classify.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p_classify.add_argument("--max-denominator", type=_int_in(1), default=DEFAULT_MAX_DENOMINATOR)
+    p_classify.add_argument("--tolerance", type=_positive_finite_float, default=DEFAULT_TOLERANCE)
     p_classify.set_defaults(func=cmd_classify)
 
     p_analyze = sub.add_parser("analyze", help="exact distribution, metrics, CSV/JSON outputs")
     add_common(p_analyze)
-    p_analyze.add_argument("--N", type=int, required=True, help="number of fragmentation stages")
+    p_analyze.add_argument("--N", type=_int_in(0), required=True, help="number of fragmentation stages")
     p_analyze.add_argument("--measure", choices=MEASURES, default=MEASURE_UNIFORM)
     p_analyze.add_argument("--out", required=True, help="output directory for this run")
     p_analyze.add_argument("--cap", type=int, default=DEFAULT_CAP, help="composition-count guard")
-    p_analyze.add_argument("--threads", type=int, default=1, help="accepted; enumeration runs single-threaded")
+    p_analyze.add_argument("--threads", type=_int_in(1), default=1, help="accepted; enumeration runs single-threaded")
     p_analyze.add_argument("--ks-threshold", type=float, default=DEFAULT_KS_THRESHOLD)
-    p_analyze.add_argument("--length", type=float, default=1.0, help="initial stick length L")
+    p_analyze.add_argument("--length", type=_positive_finite_float, default=1.0, help="initial stick length L")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_brute = sub.add_parser("brute", help="cross-check enumeration against brute force")
     add_common(p_brute)
-    p_brute.add_argument("--N", type=int, required=True)
+    p_brute.add_argument("--N", type=_int_in(0), required=True)
     p_brute.add_argument("--measure", choices=MEASURES, default=MEASURE_UNIFORM)
     p_brute.set_defaults(func=cmd_brute)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo path sampling")
     add_common(p_sim)
-    p_sim.add_argument("--N", type=int, required=True)
+    p_sim.add_argument("--N", type=_int_in(0), required=True)
     p_sim.add_argument("--measure", choices=MEASURES, default=MEASURE_UNIFORM)
-    p_sim.add_argument("--samples", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, required=True)
+    p_sim.add_argument("--samples", type=_int_in(1), required=True)
+    p_sim.add_argument("--seed", type=_int_in(0, 2**64), required=True)
     p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--threads", type=int, default=1)
+    p_sim.add_argument("--threads", type=_int_in(1), default=1)
     p_sim.add_argument("--ks-threshold", type=float, default=DEFAULT_KS_THRESHOLD)
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -29,6 +29,7 @@ from .enumeration import (
     WeightedMod1Distribution,
     _frac,
     _kahan_columns,
+    _write_indexed_csv,
     distribution_from_residues,
 )
 from .model import ProportionVector
@@ -141,11 +142,8 @@ def sample_leaf_residues(
 
 
 def write_samples_csv(residues: np.ndarray, path: str | Path) -> None:
-    """Dump 'sample_index,residue' rows in stream order."""
-    # same idiom as enumeration.write_distribution_csv
-    with open(path, "w") as f:
-        f.write("sample_index,residue\n")
-        f.writelines(f"{i},{r:.17g}\n" for i, r in enumerate(residues.tolist()))
+    """Dump 'sample_index,residue' rows in stream order, 17 significant digits."""
+    _write_indexed_csv("sample_index,residue", residues, path)
 
 
 def write_metadata_json(config: SamplerConfig, N: int, base: int, config_echo: dict, path: str | Path) -> None:

@@ -28,6 +28,7 @@ from .enumeration import (
     exact_distribution,
     log_multinomial,
     _frac,
+    _write_indexed_csv,
 )
 from .errors import ResourceLimitError
 from .model import ProportionVector
@@ -283,11 +284,8 @@ def cross_check(
 
 
 def write_leaves_csv(leaves: LeafList, path: str | Path) -> None:
-    """Dump 'leaf_index,length' rows in depth-first leaf order."""
-    # same idiom as enumeration.write_distribution_csv
-    with open(path, "w") as f:
-        f.write("leaf_index,length\n")
-        f.writelines(f"{i},{length:.17g}\n" for i, length in enumerate(leaves.lengths.tolist()))
+    """Dump 'leaf_index,length' rows in depth-first leaf order, 17 significant digits."""
+    _write_indexed_csv("leaf_index,length", leaves.lengths, path)
 
 
 def write_exact_residues_csv(rows: list[tuple[Fraction, float]], lcm: int, path: str | Path) -> None:

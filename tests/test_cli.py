@@ -177,6 +177,39 @@ class TestSimulate:
         assert (a / "samples.csv").read_bytes() != (b / "samples.csv").read_bytes()
 
 
+class TestBadFlags:
+    # each is rejected by the parser (exit 2, nothing on stdout) before any
+    # engine work; --N 2000 with --cap 1000 would otherwise trip the guard (3)
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["classify", "--max-denominator", "0"],
+            ["classify", "--tolerance", "-1"],
+            ["classify", "--tolerance", "nan"],
+            ["analyze", "--N", "5", "--threads", "0"],
+            ["analyze", "--N", "-1"],
+            ["analyze", "--N", "2000", "--cap", "1000", "--length", "0"],
+            ["analyze", "--N", "2000", "--cap", "1000", "--length", "-3"],
+            ["analyze", "--N", "2000", "--cap", "1000", "--length", "inf"],
+            ["analyze", "--N", "2000", "--cap", "1000", "--length", "nan"],
+            ["brute", "--N", "-2"],
+            ["simulate", "--N", "5", "--samples", "0", "--seed", "1"],
+            ["simulate", "--N", "5", "--samples", "10", "--seed", "-1"],
+            ["simulate", "--N", "5", "--samples", "10", "--seed", str(2**64)],
+            ["simulate", "--N", "-1", "--samples", "10", "--seed", "1"],
+            ["simulate", "--N", "5", "--samples", "10", "--seed", "1", "--threads", "0"],
+        ],
+        ids=lambda a: " ".join(a),
+    )
+    def test_exits_2_with_empty_stdout(self, fig3_config, tmp_path, args):
+        out = [] if args[0] in ("classify", "brute") else ["--out", str(tmp_path / "o")]
+        proc = run_cli(*args, "--config", str(fig3_config), *out)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+
 class TestVerdictAgreement:
     def test_prediction_matches_analysis_when_attainable(self, fig3_config, fig7_config, tmp_path):
         # end-to-end Theorem 1.1 restatement at desk scale: the rational

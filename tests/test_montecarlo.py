@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,14 +9,18 @@ from stickfrag import (
     FixedProportions,
     MEASURE_LENGTH,
     MEASURE_UNIFORM,
+    ExponentSpec,
     RandomProportions,
     SamplerConfig,
     exact_distribution,
     ks_distance,
     make_model,
+    proportions_from_exponents,
     sample_leaf_residues,
 )
+from stickfrag.enumeration import _CSV_BLOCK_ROWS
 from stickfrag.montecarlo import write_metadata_json, write_samples_csv
+from stickfrag.oracle import brute_force_leaves, write_leaves_csv
 
 
 def fixed(model, seed=1234, samples=1000, measure=MEASURE_UNIFORM):
@@ -143,7 +149,10 @@ class TestDumps:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "sample_index,residue"
         assert len(lines) == 51
-        assert lines[1].split(",")[0] == "0"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(i) for i, _ in rows] == list(range(50))
+        # 17 significant digits round-trip every double exactly
+        assert [float(r) for _, r in rows] == res.tolist()
 
     def test_metadata_json(self, tmp_path):
         cfg = fixed(make_model([0.3]), samples=50)
@@ -155,3 +164,54 @@ class TestDumps:
         assert meta["generator"] == "numpy.random.PCG64"
         assert meta["seed"] == 1234
         assert meta["config"] == {"proportions": [0.3]}
+
+
+def reference_indexed_csv(header, values, path):
+    """The per-row writer the block writer replaced: one %.17g per row."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        f.writelines(f"{i},{v:.17g}\n" for i, v in enumerate(values.tolist()))
+
+
+ROW_WRITERS = {
+    "samples": ("sample_index,residue", write_samples_csv),
+    "leaves": ("leaf_index,length", lambda v, path: write_leaves_csv(SimpleNamespace(lengths=v), path)),
+}
+EDGE_VALUES = [0.0, -0.0, 5e-324, 1e-05, 1 - 2**-53, 1.0]
+B = _CSV_BLOCK_ROWS
+
+
+class TestRowWriterBytes:
+    def assert_same_bytes(self, tmp_path, kind, values):
+        header, write = ROW_WRITERS[kind]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write(values, got)
+        reference_indexed_csv(header, values, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("kind", ROW_WRITERS)
+    @pytest.mark.parametrize("measure", [MEASURE_UNIFORM, MEASURE_LENGTH])
+    def test_fixed_model_samples(self, tmp_path, kind, measure):
+        # fig7 at N=1000: a few hundred distinct residues in 2^17 rows
+        model = proportions_from_exponents(ExponentSpec((Fraction(-1, 2), -math.sqrt(2))))
+        res, dist = sample_leaf_residues(fixed(model, seed=3, samples=1 << 17, measure=measure), 1000)
+        assert dist.atoms < 1000
+        self.assert_same_bytes(tmp_path, kind, res)
+
+    @pytest.mark.parametrize("kind", ROW_WRITERS)
+    def test_all_distinct_values(self, tmp_path, kind):
+        values = np.random.default_rng(11).random(3 * B + 17)
+        assert len(np.unique(values)) == len(values)
+        self.assert_same_bytes(tmp_path, kind, values)
+
+    @pytest.mark.parametrize("kind", ROW_WRITERS)
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    def test_edge_values_and_block_lengths(self, tmp_path, kind, n):
+        # edge values cycle through every block, so each block holds both
+        # zeros; a value-based dedupe would write one of them wrongly
+        values = np.resize(np.array(EDGE_VALUES), n)
+        self.assert_same_bytes(tmp_path, kind, values)
+
+    def test_brute_force_leaves(self, tmp_path):
+        # 3^9 read-only leaf lengths over three blocks
+        self.assert_same_bytes(tmp_path, "leaves", brute_force_leaves(make_model([0.3, 0.2]), 9).lengths)
