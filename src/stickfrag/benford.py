@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .enumeration import WeightedMod1Distribution
+from .enumeration import WeightedMod1Distribution, _cluster_starts
+from .model import log_base
 
 SIGNIFICAND_SNAP = 1e-12
 DEFAULT_KS_THRESHOLD = 0.02
@@ -64,7 +65,7 @@ def significand(x: float, base: int = 10) -> float:
         raise ValueError(f"base must be an integer >= 2, got {base!r}")
     if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0:
         raise ValueError(f"significand needs a positive finite value, got {x!r}")
-    lf = math.log10(x) if base == 10 else math.log(x) / math.log(base)
+    lf = log_base(x, base)
     s = math.pow(base, lf - math.floor(lf))
     if base - s <= SIGNIFICAND_SNAP:
         return 1.0
@@ -183,10 +184,7 @@ def ks_distance(
     atom does not register as a CDF gap.
     """
     points = np.sort(np.concatenate([a.residues, b.residues]))
-    boundary = np.empty(len(points), dtype=bool)
-    boundary[0] = True
-    np.greater(np.diff(points), align_tol, out=boundary[1:])
-    starts = np.flatnonzero(boundary)
+    starts = np.flatnonzero(_cluster_starts(points, align_tol))
     ends = np.append(starts[1:], len(points))
     lo = points[starts]          # evaluate left limits just before each cluster
     hi = points[ends - 1]        # and right limits just after it

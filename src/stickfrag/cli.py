@@ -30,8 +30,10 @@ from .model import (
     DEFAULT_MAX_DENOMINATOR,
     DEFAULT_TOLERANCE,
     classify_rationality,
+    log_base,
     parse_config,
     predict_benford,
+    read_config,
 )
 from .montecarlo import (
     FixedProportions,
@@ -64,14 +66,7 @@ def _config_sha256(path: str) -> str:
 
 def _load_model(args: argparse.Namespace):
     """Parse the config file; --base applies only when the file has no base."""
-    try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+    raw = read_config(args.config)
     if isinstance(raw, dict) and "base" not in raw:
         raw = {**raw, "base": args.base}
     model, spec = parse_config(raw)
@@ -135,7 +130,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _log(f"{exc}; consider `stickfrag simulate` for this size")
         return EXIT_RESOURCE
     if args.length != 1.0:
-        shift = math.log10(args.length) if base == 10 else math.log(args.length) / math.log(base)
+        shift = log_base(args.length, base)
         rotated = rotate_distribution(dist, shift)
         drift = abs(star_discrepancy(rotated) - star_discrepancy(dist))
         _log(f"scale invariance check: star-discrepancy drift {drift:.3e} at L={args.length}")
@@ -230,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--out", required=True, help="output directory for this run")
     p_analyze.add_argument("--cap", type=int, default=DEFAULT_CAP, help="composition-count guard")
     p_analyze.add_argument("--threads", type=_int_in(1), default=1, help="accepted; enumeration runs single-threaded")
-    p_analyze.add_argument("--ks-threshold", type=float, default=DEFAULT_KS_THRESHOLD)
+    p_analyze.add_argument("--ks-threshold", type=_positive_finite_float, default=DEFAULT_KS_THRESHOLD)
     p_analyze.add_argument("--length", type=_positive_finite_float, default=1.0, help="initial stick length L")
     p_analyze.set_defaults(func=cmd_analyze)
 
@@ -248,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=_int_in(0, 2**64), required=True)
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--threads", type=_int_in(1), default=1)
-    p_sim.add_argument("--ks-threshold", type=float, default=DEFAULT_KS_THRESHOLD)
+    p_sim.add_argument("--ks-threshold", type=_positive_finite_float, default=DEFAULT_KS_THRESHOLD)
     p_sim.set_defaults(func=cmd_simulate)
 
     return parser

@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ResourceLimitError
-from .model import ProportionVector
+from .model import ProportionVector, log_base
 
 MEASURE_UNIFORM = "uniform"  # each of the m^N leaf sticks counts once
 MEASURE_LENGTH = "length"    # each leaf weighted by its length
@@ -120,17 +120,6 @@ def _kahan_columns(K: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:
     return acc
 
 
-def _kahan_scalar(ks: Sequence[int], coeffs: Sequence[float]) -> float:
-    acc = 0.0
-    comp = 0.0
-    for kj, c in zip(ks, coeffs):
-        y = kj * c - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-    return acc
-
-
 def composition_count(N: int, m: int) -> int:
     return math.comb(N + m - 1, m - 1)
 
@@ -207,23 +196,28 @@ def atom_for(
 
     residue is the fractional part of sum k_j * log_base(p_j), accumulated
     with compensated summation.  Uniform mass divides the multinomial count
-    by m^N; length mass multiplies it by the leaf length.
+    by m^N; length mass multiplies it by the leaf length.  Computed by the
+    enumeration engine's own atom table on a one-row block, so it returns
+    exactly what exact_distribution aggregates for this composition.
     """
     counts = k.k if isinstance(k, Composition) else tuple(int(x) for x in k)
     if len(counts) != model.m:
         raise ValueError(f"composition has {len(counts)} parts, model has {model.m}")
-    N = sum(counts)
-    logmult = log_multinomial(N, counts)
-    if base == 10:
-        logp_base = [math.log10(p) for p in model.p]
-    else:
-        lb = math.log(base)
-        logp_base = [math.log(p) / lb for p in model.p]
-    logp_nat = [math.log(p) for p in model.p]
-    residue = _frac(_kahan_scalar(counts, logp_base))
-    log_mass_uniform = logmult - N * math.log(model.m)
-    log_mass_length = logmult + _kahan_scalar(counts, logp_nat)
-    return residue, log_mass_uniform, log_mass_length
+    if any(c < 0 for c in counts):
+        raise ValueError(f"{counts} has a negative part")
+    K = np.array([counts], dtype=np.int64)
+    residue, log_mass_uniform = _atom_table(K, model, base, MEASURE_UNIFORM)
+    _, log_mass_length = _atom_table(K, model, base, MEASURE_LENGTH)
+    return float(residue[0]), float(log_mass_uniform[0]), float(log_mass_length[0])
+
+
+def _cluster_starts(points: np.ndarray, tol: float) -> np.ndarray:
+    """Mask over ascending points: True where a point lies more than tol above
+    its predecessor, i.e. starts a new cluster (clusters chain)."""
+    boundary = np.empty(len(points), dtype=bool)
+    boundary[0] = True
+    np.greater(np.diff(points), tol, out=boundary[1:])
+    return boundary
 
 
 def _merge_atoms(
@@ -237,9 +231,7 @@ def _merge_atoms(
     order = np.argsort(residues, kind="stable")
     r = residues[order]
     w = weights[order]
-    boundary = np.empty(len(r), dtype=bool)
-    boundary[0] = True
-    np.greater(np.diff(r), merge_tol, out=boundary[1:])
+    boundary = _cluster_starts(r, merge_tol)
     n_clusters = int(np.count_nonzero(boundary))
     if n_clusters <= 4096:
         # few big clusters: per-cluster pairwise sums keep roundoff ~eps*log(n).
@@ -291,19 +283,14 @@ def distribution_from_residues(
 def _atom_table(K: np.ndarray, model: ProportionVector, base: int, measure: str) -> tuple[np.ndarray, np.ndarray]:
     """(residues, log-masses) for a block of composition rows.
 
-    Elementwise arithmetic matches atom_for exactly: the same lgamma values,
-    the same compensated-summation order.
+    The arithmetic is elementwise per row, so a row's atom does not depend on
+    the block it sits in; atom_for is this function on a one-row block.
     """
     N = int(K[0].sum())
     m = K.shape[1]
     lgt = np.array([math.lgamma(i + 1) for i in range(N + 1)])
     logmult = lgt[N] - lgt[K].sum(axis=1)
-    if base == 10:
-        logp_base = [math.log10(p) for p in model.p]
-    else:
-        lb = math.log(base)
-        logp_base = [math.log(p) / lb for p in model.p]
-    residues = _frac(_kahan_columns(K, logp_base))
+    residues = _frac(_kahan_columns(K, [log_base(p, base) for p in model.p]))
     if measure == MEASURE_UNIFORM:
         logmass = logmult - N * math.log(m)
     else:

@@ -158,14 +158,21 @@ def make_model(p: list[float] | tuple[float, ...]) -> ProportionVector:
     return ProportionVector(p + (1.0 - total,))
 
 
+def log_base(x: float, base: int) -> float:
+    """log_base(x) for one positive float: math.log10 for base 10, else log(x)/log(base).
+
+    Every scalar log-length in the package goes through here, so sampled and
+    enumerated atoms share their bits.  Array sites use the numpy twin
+    (np.log10 / np.log), which is not guaranteed to round alike.
+    """
+    return math.log10(x) if base == 10 else math.log(x) / math.log(base)
+
+
 def exponents_from_proportions(model: ProportionVector, base: int = 10) -> ExponentSpec:
     """y_i = log_base(p_i / p_{i+1}) for consecutive proportions."""
     if not isinstance(base, int) or base < 2:
         raise ValueError(f"base must be an integer >= 2, got {base!r}")
-    y = []
-    for a, b in zip(model.p, model.p[1:]):
-        ratio = a / b
-        y.append(math.log10(ratio) if base == 10 else math.log(ratio) / math.log(base))
+    y = [log_base(a / b, base) for a, b in zip(model.p, model.p[1:])]
     return ExponentSpec(tuple(y), base)
 
 
@@ -239,55 +246,29 @@ def classify_rationality(
     verdicts = []
     for entry in spec.y:
         if isinstance(entry, Fraction):
-            verdicts.append(
-                ExponentVerdict(
-                    rational=True,
-                    numerator=entry.numerator,
-                    denominator=entry.denominator,
-                    witness_numerator=entry.numerator,
-                    witness_denominator=entry.denominator,
-                    witness_error=0.0,
-                    max_denominator=max_denominator,
-                    tolerance=tolerance,
-                )
-            )
-            continue
-        best: tuple[int, int, float] | None = None
-        hit: tuple[int, int, float] | None = None
-        for p, q, err in _convergents(float(entry), max_denominator):
-            if best is None or err < best[2]:
-                best = (p, q, err)
-            if err <= tolerance:
-                hit = (p, q, err)
-                break
-        if hit is not None:
-            p, q, err = hit
-            verdicts.append(
-                ExponentVerdict(
-                    rational=True,
-                    numerator=p,
-                    denominator=q,
-                    witness_numerator=p,
-                    witness_denominator=q,
-                    witness_error=err,
-                    max_denominator=max_denominator,
-                    tolerance=tolerance,
-                )
-            )
+            best = hit = (entry.numerator, entry.denominator, 0.0)
         else:
-            p, q, err = best
-            verdicts.append(
-                ExponentVerdict(
-                    rational=False,
-                    numerator=None,
-                    denominator=None,
-                    witness_numerator=p,
-                    witness_denominator=q,
-                    witness_error=err,
-                    max_denominator=max_denominator,
-                    tolerance=tolerance,
-                )
+            best = hit = None
+            for p, q, err in _convergents(float(entry), max_denominator):
+                if best is None or err < best[2]:
+                    best = (p, q, err)
+                if err <= tolerance:
+                    hit = (p, q, err)
+                    break
+        rational = hit is not None
+        p, q, err = hit if rational else best
+        verdicts.append(
+            ExponentVerdict(
+                rational=rational,
+                numerator=p if rational else None,
+                denominator=q if rational else None,
+                witness_numerator=p,
+                witness_denominator=q,
+                witness_error=err,
+                max_denominator=max_denominator,
+                tolerance=tolerance,
             )
+        )
     return ExponentClassification(tuple(verdicts), max_denominator, tolerance)
 
 
@@ -352,14 +333,18 @@ def parse_config(data: dict) -> tuple[ProportionVector, ExponentSpec]:
     return model, spec
 
 
-def load_config(path: str | Path) -> tuple[ProportionVector, ExponentSpec]:
-    """Load and parse a JSON model configuration file."""
+def read_config(path: str | Path):
+    """The decoded JSON of a configuration file, unparsed; ConfigError if unreadable."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_config(data)
+
+
+def load_config(path: str | Path) -> tuple[ProportionVector, ExponentSpec]:
+    """Load and parse a JSON model configuration file."""
+    return parse_config(read_config(path))

@@ -32,7 +32,7 @@ from .enumeration import (
     _write_indexed_csv,
     distribution_from_residues,
 )
-from .model import ProportionVector
+from .model import ProportionVector, log_base
 
 GENERATOR_NAME = "numpy.random.PCG64"
 _CHUNK_SAMPLES = 1 << 16
@@ -85,18 +85,13 @@ class SamplerConfig:
 def _sample_chunk(config: SamplerConfig, N: int, base: int, chunk_index: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, chunk_index)))
     m = config.m
-    log_base = math.log(base)
     if isinstance(config.mode, FixedProportions):
         p = config.mode.model.p
         probs = np.full(m, 1.0 / m) if config.measure == MEASURE_UNIFORM else np.array(p)
         counts = rng.multinomial(N, probs, size=n)
-        if base == 10:
-            logp = [math.log10(x) for x in p]
-        else:
-            logp = [math.log(x) / log_base for x in p]
-        # same compensated summation as the enumeration engine, so sampled
-        # atoms land bit-identically on the enumerated ones
-        total = _kahan_columns(counts, logp)
+        # same logs and compensated summation as the enumeration engine, so
+        # sampled atoms land bit-identically on the enumerated ones
+        total = _kahan_columns(counts, [log_base(x, base) for x in p])
     else:
         alpha = np.array(config.mode.concentration)
         total = np.zeros(n)
@@ -108,7 +103,7 @@ def _sample_chunk(config: SamplerConfig, N: int, base: int, chunk_index: int, n:
                 u = rng.random(n)
                 idx = np.minimum((P.cumsum(axis=1) < u[:, None]).sum(axis=1), m - 1)
             chosen = P[np.arange(n), idx]
-            total += np.log10(chosen) if base == 10 else np.log(chosen) / log_base
+            total += np.log10(chosen) if base == 10 else np.log(chosen) / math.log(base)
     return _frac(total)
 
 

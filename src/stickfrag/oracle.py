@@ -23,6 +23,7 @@ from .enumeration import (
     MEASURE_UNIFORM,
     MEASURES,
     WeightedMod1Distribution,
+    _cluster_starts,
     build_distribution,
     compositions,
     exact_distribution,
@@ -261,10 +262,7 @@ def cross_check(
     order = np.argsort(points, kind="stable")
     points = points[order]
     signed = signed[order]
-    boundary = np.empty(len(points), dtype=bool)
-    boundary[0] = True
-    np.greater(np.diff(points), tol, out=boundary[1:])
-    cid = np.cumsum(boundary) - 1
+    cid = np.cumsum(_cluster_starts(points, tol)) - 1
     per_cluster = np.bincount(cid, weights=signed)
     # wrap: first and last cluster may be the same atom split across 0/1
     if len(per_cluster) > 1 and (points[0] + 1.0 - points[-1]) <= tol:

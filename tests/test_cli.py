@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,12 +194,20 @@ class TestBadFlags:
             ["analyze", "--N", "2000", "--cap", "1000", "--length", "-3"],
             ["analyze", "--N", "2000", "--cap", "1000", "--length", "inf"],
             ["analyze", "--N", "2000", "--cap", "1000", "--length", "nan"],
+            ["analyze", "--N", "2000", "--cap", "1000", "--ks-threshold", "-1"],
+            ["analyze", "--N", "2000", "--cap", "1000", "--ks-threshold", "nan"],
+            ["analyze", "--N", "2000", "--cap", "1000", "--ks-threshold", "inf"],
+            ["analyze", "--N", "2000", "--cap", "1000", "--ks-threshold", "0"],
             ["brute", "--N", "-2"],
             ["simulate", "--N", "5", "--samples", "0", "--seed", "1"],
             ["simulate", "--N", "5", "--samples", "10", "--seed", "-1"],
             ["simulate", "--N", "5", "--samples", "10", "--seed", str(2**64)],
             ["simulate", "--N", "-1", "--samples", "10", "--seed", "1"],
             ["simulate", "--N", "5", "--samples", "10", "--seed", "1", "--threads", "0"],
+            ["simulate", "--N", "5", "--samples", "10", "--seed", "1", "--ks-threshold", "-1"],
+            ["simulate", "--N", "5", "--samples", "10", "--seed", "1", "--ks-threshold", "nan"],
+            ["simulate", "--N", "5", "--samples", "10", "--seed", "1", "--ks-threshold", "inf"],
+            ["simulate", "--N", "5", "--samples", "10", "--seed", "1", "--ks-threshold", "0"],
         ],
         ids=lambda a: " ".join(a),
     )
@@ -208,6 +218,21 @@ class TestBadFlags:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "o").exists()
+
+
+def test_benchmark_tracing_hooks_attach():
+    # the benchmark's tracer wraps names the CLI imports (cli.parse_config,
+    # cli.exact_distribution, ...); a renamed or dropped import breaks every
+    # traced run, so install it against the current package
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer('t'))"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestVerdictAgreement:

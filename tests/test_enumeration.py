@@ -168,6 +168,11 @@ class TestAtomFor:
         with pytest.raises(ValueError):
             atom_for(make_model([0.5]), (1, 0, 0))
 
+    def test_rejects_negative_part(self):
+        # a negative part would otherwise index the lgamma table from its end
+        with pytest.raises(ValueError):
+            atom_for(make_model([0.5]), (-1, 2))
+
     def test_factorization_identity(self):
         # sum k_j log p_j == k1 log(p1/p2) + (k1+k2) log(p2/p3) + ... + N log pm
         rng = np.random.default_rng(5)

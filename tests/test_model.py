@@ -217,3 +217,13 @@ class TestConfig:
 
         model, _ = load_config(cfg)
         assert model.p == (0.3, 0.3, 0.4)
+
+    def test_load_config_unreadable(self, tmp_path):
+        from stickfrag import load_config
+
+        with pytest.raises(ConfigError):
+            load_config(tmp_path / "missing.json")
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        with pytest.raises(ConfigError):
+            load_config(bad)

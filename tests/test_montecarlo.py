@@ -10,6 +10,7 @@ from stickfrag import (
     MEASURE_LENGTH,
     MEASURE_UNIFORM,
     ExponentSpec,
+    ProportionVector,
     RandomProportions,
     SamplerConfig,
     exact_distribution,
@@ -96,6 +97,18 @@ class TestFixedSampling:
             fixed(model.permuted((2, 0, 1)), seed=55, samples=300_000), 15
         )
         assert ks_distance(a, b) <= 5e-3
+
+    @pytest.mark.parametrize("base", [10, 7])
+    @pytest.mark.parametrize("measure", [MEASURE_UNIFORM, MEASURE_LENGTH])
+    def test_samples_are_enumerated_atoms_bit_for_bit(self, base, measure):
+        # sampler and engine share the scalar logs and the summation order, so
+        # every sampled residue is one of the enumerated atoms exactly; with no
+        # two compositions merged, each atom is its composition's own residue
+        model = ProportionVector((0.2, 0.45, 0.35))
+        exact = exact_distribution(model, 20, base, measure)
+        assert exact.atoms == 231
+        res, _ = sample_leaf_residues(fixed(model, seed=8, samples=20_000, measure=measure), 20, base)
+        assert np.isin(res, exact.residues).all()
 
 
 class TestRandomProportions:
