@@ -206,8 +206,10 @@ def atom_for(
     if any(c < 0 for c in counts):
         raise ValueError(f"{counts} has a negative part")
     K = np.array([counts], dtype=np.int64)
-    residue, log_mass_uniform = _atom_table(K, model, base, MEASURE_UNIFORM)
-    _, log_mass_length = _atom_table(K, model, base, MEASURE_LENGTH)
+    lg_parts = np.array([[math.lgamma(c + 1) for c in counts]])
+    residue, (log_mass_uniform, log_mass_length) = _atom_table(
+        K, lg_parts, math.lgamma(sum(counts) + 1), model, base, MEASURES
+    )
     return float(residue[0]), float(log_mass_uniform[0]), float(log_mass_length[0])
 
 
@@ -280,22 +282,25 @@ def distribution_from_residues(
     return build_distribution(r, np.full(n, 1.0 / n), measure, N, m)
 
 
-def _atom_table(K: np.ndarray, model: ProportionVector, base: int, measure: str) -> tuple[np.ndarray, np.ndarray]:
-    """(residues, log-masses) for a block of composition rows.
+def _atom_table(
+    K: np.ndarray, lg_parts: np.ndarray, lg_N: float, model: ProportionVector, base: int, measures: Sequence[str]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Residues, and log-masses for each of measures, of a block of composition rows.
 
+    lg_parts holds lgamma(k + 1) for each part of K, and lg_N is lgamma(N + 1).
     The arithmetic is elementwise per row, so a row's atom does not depend on
     the block it sits in; atom_for is this function on a one-row block.
     """
     N = int(K[0].sum())
     m = K.shape[1]
-    lgt = np.array([math.lgamma(i + 1) for i in range(N + 1)])
-    logmult = lgt[N] - lgt[K].sum(axis=1)
+    logmult = lg_N - lg_parts.sum(axis=1)
     residues = _frac(_kahan_columns(K, [log_base(p, base) for p in model.p]))
-    if measure == MEASURE_UNIFORM:
-        logmass = logmult - N * math.log(m)
-    else:
-        logmass = logmult + _kahan_columns(K, [math.log(p) for p in model.p])
-    return residues, logmass
+    logmasses = [
+        logmult - N * math.log(m) if measure == MEASURE_UNIFORM
+        else logmult + _kahan_columns(K, [math.log(p) for p in model.p])
+        for measure in measures
+    ]
+    return residues, logmasses
 
 
 def exact_distribution(
@@ -330,10 +335,11 @@ def exact_distribution(
             f"C({N + model.m - 1},{model.m - 1}) = {total} compositions exceeds cap {cap}"
         )
     K = composition_array(N, model.m)
+    lgt = np.array([math.lgamma(i + 1) for i in range(N + 1)])
     chunks = [K[i:i + _CHUNK_ROWS] for i in range(0, len(K), _CHUNK_ROWS)]
-    parts = [_atom_table(c, model, base, measure) for c in chunks]
+    parts = [_atom_table(c, lgt[c], lgt[N], model, base, (measure,)) for c in chunks]
     residues = np.concatenate([p[0] for p in parts])
-    logmass = np.concatenate([p[1] for p in parts])
+    logmass = np.concatenate([p[1][0] for p in parts])
     peak = float(logmass.max())
     scaled = np.exp(logmass - peak)
     rep, mass = _merge_atoms(residues, scaled)

@@ -13,7 +13,7 @@ These are single-threaded reference implementations: auditability over speed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,9 +25,7 @@ from .enumeration import (
     WeightedMod1Distribution,
     _cluster_starts,
     build_distribution,
-    compositions,
     exact_distribution,
-    log_multinomial,
     _frac,
     _write_indexed_csv,
 )
@@ -87,16 +85,7 @@ class CrossCheckReport:
     m: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_mass_deviation": self.max_mass_deviation,
-            "atoms_exact": self.atoms_exact,
-            "atoms_brute": self.atoms_brute,
-            "leaves": self.leaves,
-            "measure": self.measure,
-            "N": self.N,
-            "m": self.m,
-        }
+        return asdict(self)
 
 
 def brute_force_leaves(model: ProportionVector, N: int, guard: int = BRUTE_FORCE_GUARD) -> LeafList:
@@ -119,19 +108,13 @@ def brute_force_leaves(model: ProportionVector, N: int, guard: int = BRUTE_FORCE
 def _rational_pairs(y) -> list[tuple[int, int]]:
     pairs = []
     for entry in y:
-        if isinstance(entry, Fraction):
-            a, b = entry.numerator, entry.denominator
-        elif isinstance(entry, tuple) and len(entry) == 2:
-            a, b = entry
-            if not isinstance(a, int) or not isinstance(b, int) or b == 0:
+        if isinstance(entry, tuple) and len(entry) == 2:
+            if not all(isinstance(v, int) for v in entry) or entry[1] == 0:
                 raise ValueError(f"bad rational pair {entry!r}")
-            if b < 0:
-                a, b = -a, -b
-            g = math.gcd(abs(a), b)
-            a, b = a // g, b // g
-        else:
+            entry = Fraction(*entry)
+        elif not isinstance(entry, Fraction):
             raise ValueError(f"exponent {entry!r} is not an exact rational")
-        pairs.append((a, b))
+        pairs.append((entry.numerator, entry.denominator))
     return pairs
 
 
@@ -176,6 +159,16 @@ def exact_residues_rational(y, N: int, base_offset: float = 0.0) -> ExactResidue
     )
 
 
+def _cyclic_product(f: list, g: list) -> list:
+    """Product of two coefficient lists in R[x]/(x^L - 1), L = len(f) = len(g)."""
+    h = [0] * len(f)
+    for i, fi in enumerate(f):
+        if fi:
+            # x^i * g: g rotated right by i
+            h = [hk + fi * gk for hk, gk in zip(h, g[-i:] + g[:-i])]
+    return h
+
+
 def exact_residue_distribution(
     y,
     N: int,
@@ -183,10 +176,17 @@ def exact_residue_distribution(
     measure: str = MEASURE_UNIFORM,
     cap: int = 10**6,
 ) -> list[tuple[Fraction, float]]:
-    """Mass carried by each exact residue class, by direct enumeration.
+    """Mass carried by each exact residue class, by powering the one-step law on Z_L.
 
-    Uniform masses are exact multinomial counts over m^N; length masses are
-    accumulated in log space.  Pure-Python loop, guarded by cap.
+    With L = lcm(b_i), a stick's residue sum_i s_i a_i/b_i mod 1 is u/L, and
+    a cut into child j adds u_j = sum_{i>=j} a_i (L/b_i) mod L to u (the last
+    child adds 0).  So the mass of class u is the coefficient of x^u in
+    (sum_j q_j x^{u_j})^N in R[x]/(x^L - 1), computed by binary powering.
+    Uniform: q_j = 1, the coefficients are exact multinomial counts in
+    Python ints, divided by m^N once.  Length: q_j = p_j, in floats.  Rows
+    are the classes with non-zero mass, ascending.  cap still bounds the
+    composition count C(N+m-1, m-1), as in exact_distribution, not the
+    work: the powering costs O(L^2 log N) coefficient products.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
@@ -194,36 +194,24 @@ def exact_residue_distribution(
     m = len(pairs) + 1
     if m != model.m:
         raise ValueError(f"{len(pairs)} exponents need m={m}, model has m={model.m}")
+    if N < 0:
+        raise ValueError(f"need N >= 0, got {N}")
     if math.comb(N + m - 1, m - 1) > cap:
         raise ResourceLimitError(f"composition count exceeds cap {cap}")
     lcm = math.lcm(*(b for _, b in pairs))
-    steps = [a * (lcm // b) for a, b in pairs]
-    log_p = [math.log(p) for p in model.p]
-    acc: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for comp in compositions(N, m):
-        s = 0
-        r = 0
-        for i, (_, b) in enumerate(pairs):
-            s += comp.k[i]
-            r += (s % b) * steps[i]
-        r %= lcm
-        if measure == MEASURE_UNIFORM:
-            # N!/(k1!...km!) = prod_j C(k1+...+kj, kj): exact integers, with
-            # no N! per composition and no factorial table growing with N
-            mult = 1
-            head = 0
-            for kj in comp.k:
-                head += kj
-                mult *= math.comb(head, kj)
-            counts[r] = counts.get(r, 0) + mult
-        else:
-            w = math.exp(log_multinomial(N, comp) + sum(kj * lp for kj, lp in zip(comp.k, log_p)))
-            acc[r] = acc.get(r, 0.0) + w
-    if measure == MEASURE_UNIFORM:
-        total = m**N
-        return [(Fraction(r, lcm), counts[r] / total) for r in sorted(counts)]
-    return [(Fraction(r, lcm), acc[r]) for r in sorted(acc)]
+    q, total = ([1] * m, m**N) if measure == MEASURE_UNIFORM else (list(model.p), 1)
+    step = [0] * lcm
+    for j, qj in enumerate(q):
+        step[sum(a * (lcm // b) for a, b in pairs[j:]) % lcm] += qj
+    law = [1] + [0] * (lcm - 1)
+    n = N
+    while n:
+        if n & 1:
+            law = _cyclic_product(law, step)
+        n >>= 1
+        if n:
+            step = _cyclic_product(step, step)
+    return [(Fraction(r, lcm), mass / total) for r, mass in enumerate(law) if mass]
 
 
 def distribution_from_leaves(

@@ -13,10 +13,12 @@ finite-N tolerance that nothing promises.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +26,8 @@ import stickfrag as sf
 from stickfrag.benford import benford_expected
 
 F = Fraction
+# subprocesses import the package from this checkout, installed or not
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the eight appendix configurations, keyed by figure, at their captioned N
 RATIONAL_CONFIGS = [
@@ -288,7 +292,10 @@ def test_criterion_8_determinism(tmp_path):
 
     def run(*args):
         proc = subprocess.run(
-            [sys.executable, "-m", "stickfrag", *args], capture_output=True, text=True
+            [sys.executable, "-m", "stickfrag", *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout

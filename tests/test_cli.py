@@ -10,6 +10,8 @@ import pytest
 import stickfrag.cli as cli
 from stickfrag.oracle import CrossCheckReport
 
+# subprocesses import the package from this checkout, installed or not
+SRC = Path(__file__).resolve().parent.parent / "src"
 REPORT_KEYS = {
     "ks", "star_discrepancy", "leading_digits", "chi2",
     "distinct_residues", "verdict", "ks_threshold",
@@ -22,6 +24,7 @@ def run_cli(*args, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     return proc
 

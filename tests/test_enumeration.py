@@ -18,7 +18,7 @@ from stickfrag import (
     rotate_distribution,
     write_distribution_csv,
 )
-from stickfrag.enumeration import MERGE_TOL, _merge_atoms, composition_array
+from stickfrag.enumeration import MEASURES, MERGE_TOL, _atom_table, _merge_atoms, composition_array
 
 
 def exact_multinomial(N, k):
@@ -172,6 +172,30 @@ class TestAtomFor:
         # a negative part would otherwise index the lgamma table from its end
         with pytest.raises(ValueError):
             atom_for(make_model([0.5]), (-1, 2))
+
+    def test_large_n(self):
+        # only the parts' own lgamma values are needed, not a table of N + 1
+        N = 10**6
+        k = (N - 2, 1, 1)
+        model = make_model([0.2, 0.45])
+        r, lu, ll = atom_for(model, k)
+        assert r == pytest.approx(sum(kj * math.log10(p) for kj, p in zip(k, model.p)) % 1.0, abs=1e-7)
+        assert lu == pytest.approx(log_multinomial(N, k) - N * math.log(3), rel=1e-12)
+        assert ll == pytest.approx(
+            log_multinomial(N, k) + sum(kj * math.log(p) for kj, p in zip(k, model.p)), rel=1e-12
+        )
+
+    def test_bit_identical_to_table_rows(self):
+        # the table as exact_distribution builds it, from its lgamma table of N + 1 values
+        model = make_model([0.17, 0.52])
+        N = 300
+        K = composition_array(N, 3)
+        lgt = np.array([math.lgamma(i + 1) for i in range(N + 1)])
+        for base in (10, 7):
+            residues, (lu, ll) = _atom_table(K, lgt[K], lgt[N], model, base, MEASURES)
+            for i in np.random.default_rng(3).choice(len(K), 200, replace=False).tolist() + [0, len(K) - 1]:
+                got = np.array(atom_for(model, K[i].tolist(), base))
+                assert np.array_equal(got.view(np.int64), np.array([residues[i], lu[i], ll[i]]).view(np.int64))
 
     def test_factorization_identity(self):
         # sum k_j log p_j == k1 log(p1/p2) + (k1+k2) log(p2/p3) + ... + N log pm

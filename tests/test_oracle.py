@@ -23,19 +23,42 @@ from stickfrag.model import ExponentSpec
 from stickfrag.oracle import write_exact_residues_csv, write_leaves_csv
 
 
-def brute_residue_set(pairs, N):
-    """Independent oracle: enumerate every composition and collect the exact
-    residues sum_i s_i a_i/b_i mod 1 with Fraction arithmetic."""
+FIGURE_EXPONENTS = {
+    "fig3": [Fraction(-1, 3), Fraction(-1, 2)],
+    "fig4": [Fraction(-1, 4), Fraction(-1, 6)],
+    "fig5": [Fraction(-1, 2), Fraction(-1, 3), Fraction(-1, 4)],
+    "fig6": [Fraction(-1, 4), Fraction(-1, 2), Fraction(-1, 6)],
+}
+
+
+def random_pairs():
+    """The exponent pairs of test_bound_and_monotone_in_n: 15 draws, m = 2..4."""
+    rng = np.random.default_rng(31)
+    for _ in range(15):
+        mm1 = int(rng.integers(1, 4))
+        yield [(int(rng.integers(-6, 7)), int(rng.integers(1, 7))) for _ in range(mm1)]
+
+
+def brute_residue_tally(pairs, N, q):
+    """Independent oracle: enumerate every composition, take its exact residue
+    sum_i s_i a_i/b_i mod 1 with Fraction arithmetic, and add up its exact
+    weight N!/(k1!...km!) * prod_j q_j^k_j (ints or Fractions) per residue."""
     m = len(pairs) + 1
-    seen = set()
+    tally = {}
     for c in compositions(N, m):
         s = 0
         total = Fraction(0)
         for (a, b), kj in zip(pairs, c.k):
             s += kj
             total += Fraction(a * s, b)
-        seen.add(total % 1)
-    return seen
+        weight = math.factorial(N) // math.prod(math.factorial(kj) for kj in c.k)
+        weight *= math.prod(qj**kj for qj, kj in zip(q, c.k))
+        tally[total % 1] = tally.get(total % 1, 0) + weight
+    return tally
+
+
+def brute_residue_set(pairs, N):
+    return set(brute_residue_tally(pairs, N, [1] * (len(pairs) + 1)))
 
 
 class TestBruteForce:
@@ -98,12 +121,7 @@ class TestExactResidues:
             assert exact_residues_rational([(0, 1)], N).count == 1
 
     def test_bound_and_monotone_in_n(self):
-        rng = np.random.default_rng(31)
-        for _ in range(15):
-            mm1 = int(rng.integers(1, 4))
-            pairs = [
-                (int(rng.integers(-6, 7)), int(rng.integers(1, 7))) for _ in range(mm1)
-            ]
+        for pairs in random_pairs():
             bound = math.prod(b for _, b in pairs)
             prev = 0
             saturated = False
@@ -134,7 +152,46 @@ class TestExactResidues:
         assert np.allclose(res.float_positions(), dist.residues, atol=1e-9)
 
 
+def tally_cases():
+    """(y, model) for fig3-fig6 and the random pairs, each with a model of its m."""
+    for y in FIGURE_EXPONENTS.values():
+        yield y, proportions_from_exponents(ExponentSpec(tuple(y)))
+    rng = np.random.default_rng(8)
+    for pairs in random_pairs():
+        yield pairs, make_model(list(rng.dirichlet(np.ones(len(pairs) + 1))[:-1]))
+
+
 class TestExactResidueDistribution:
+    @pytest.mark.parametrize("N", [0, 1, 2, 5, 9])
+    def test_matches_exact_composition_tally(self, N):
+        for y, model in tally_cases():
+            pairs = [(f.numerator, f.denominator) if isinstance(f, Fraction) else f for f in y]
+            counts = brute_residue_tally(pairs, N, [1] * model.m)
+            rows = exact_residue_distribution(y, N, model, MEASURE_UNIFORM)
+            assert rows == [(r, counts[r] / model.m**N) for r in sorted(counts)], (y, N)
+            masses = brute_residue_tally(pairs, N, [Fraction(p) for p in model.p])
+            rows = exact_residue_distribution(y, N, model, MEASURE_LENGTH)
+            assert [r for r, _ in rows] == sorted(masses), (y, N)
+            for r, mass in rows:
+                assert mass == pytest.approx(float(masses[r]), rel=1e-12, abs=0), (y, N, r)
+
+    @pytest.mark.parametrize("measure", [MEASURE_UNIFORM, MEASURE_LENGTH])
+    def test_classes_are_the_exact_residues(self, measure):
+        for y, model in tally_cases():
+            for N in (0, 1, 3, 7, 20, 60):
+                rows = exact_residue_distribution(y, N, model, measure)
+                assert tuple(r for r, _ in rows) == exact_residues_rational(y, N).residues, (y, N)
+
+    def test_cap_counts_compositions(self):
+        y = FIGURE_EXPONENTS["fig5"]
+        model = proportions_from_exponents(ExponentSpec(tuple(y)))
+        count = math.comb(12 + 3, 3)
+        for measure in (MEASURE_UNIFORM, MEASURE_LENGTH):
+            with pytest.raises(ResourceLimitError):
+                exact_residue_distribution(y, 12, model, measure, cap=count - 1)
+            rows = exact_residue_distribution(y, 12, model, measure, cap=count)
+            assert sum(m for _, m in rows) == pytest.approx(1.0, abs=1e-12)
+
     def test_uniform_masses_match_enumeration(self):
         y = [Fraction(-1, 3), Fraction(-1, 2)]
         model = proportions_from_exponents(ExponentSpec(tuple(y)))
