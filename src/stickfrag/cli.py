@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--N", type=_int_in(0), required=True, help="number of fragmentation stages")
     p_analyze.add_argument("--measure", choices=MEASURES, default=MEASURE_UNIFORM)
     p_analyze.add_argument("--out", required=True, help="output directory for this run")
-    p_analyze.add_argument("--cap", type=int, default=DEFAULT_CAP, help="composition-count guard")
+    p_analyze.add_argument("--cap", type=_int_in(1), default=DEFAULT_CAP, help="composition-count guard")
     p_analyze.add_argument("--threads", type=_int_in(1), default=1, help="accepted; enumeration runs single-threaded")
     p_analyze.add_argument("--ks-threshold", type=_positive_finite_float, default=DEFAULT_KS_THRESHOLD)
     p_analyze.add_argument("--length", type=_positive_finite_float, default=1.0, help="initial stick length L")

@@ -222,10 +222,8 @@ def _cluster_starts(points: np.ndarray, tol: float) -> np.ndarray:
     return boundary
 
 
-def _merge_atoms(
-    residues: np.ndarray, weights: np.ndarray, merge_tol: float = MERGE_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sort atoms and merge residues closer than merge_tol (chained).
+def _merge_atoms(residues: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort atoms and merge residues closer than MERGE_TOL (chained).
 
     The merged residue is the plain mean of the cluster: it stays inside the
     cluster's span, so representatives of distinct clusters keep their order.
@@ -233,7 +231,7 @@ def _merge_atoms(
     order = np.argsort(residues, kind="stable")
     r = residues[order]
     w = weights[order]
-    boundary = _cluster_starts(r, merge_tol)
+    boundary = _cluster_starts(r, MERGE_TOL)
     n_clusters = int(np.count_nonzero(boundary))
     if n_clusters <= 4096:
         # few big clusters: per-cluster pairwise sums keep roundoff ~eps*log(n).
@@ -264,10 +262,9 @@ def build_distribution(
     measure: str,
     N: int,
     m: int,
-    merge_tol: float = MERGE_TOL,
 ) -> WeightedMod1Distribution:
     """Merge raw atoms into a validated WeightedMod1Distribution."""
-    rep, mass = _merge_atoms(residues, masses, merge_tol)
+    rep, mass = _merge_atoms(residues, masses)
     return WeightedMod1Distribution(rep, mass, measure, N, m)
 
 

@@ -27,6 +27,7 @@ NON_BENFORD = "NonBenford"
 NORMALIZATION_SLACK = 1e-12
 DEFAULT_MAX_DENOMINATOR = 10**6
 DEFAULT_TOLERANCE = 1e-13  # see README: must sit below 1/max_denominator**2
+MAX_CF_TERMS = 64  # partial quotients _convergents reads before giving up
 
 Exponent = Union[Fraction, float]
 
@@ -201,18 +202,18 @@ def proportions_from_exponents(spec: ExponentSpec) -> ProportionVector:
     return ProportionVector(tuple(ti * pm for ti in t) + (pm,))
 
 
-def _convergents(x: float, max_denominator: int, max_terms: int = 64):
+def _convergents(x: float, max_denominator: int):
     """Yield continued-fraction convergents (p, q, |x - p/q|) with q <= bound.
 
     Terminates when the expansion is exhausted (float x is rational), the
-    denominator bound is passed, or max_terms partial quotients were consumed.
+    denominator bound is passed, or MAX_CF_TERMS partial quotients were consumed.
     """
     p0, q0 = 1, 0
     a = math.floor(x)
     p1, q1 = a, 1
     yield p1, q1, abs(x - p1)
     rem = x - a
-    for _ in range(max_terms):
+    for _ in range(MAX_CF_TERMS):
         if rem == 0.0:
             return
         inv = 1.0 / rem

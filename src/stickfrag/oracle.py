@@ -2,10 +2,11 @@
 
 brute_force_leaves expands the whole fragmentation tree by direct
 multiplication so the enumeration engine can be cross-checked against
-something with no combinatorial shortcuts.  exact_residues_rational works in
-integer arithmetic over the lcm of the exponent denominators, so the
+something with no combinatorial shortcuts.  The rational oracles work in
+integer arithmetic on Z_L, L = lcm of the exponent denominators, so the
 all-rational case ("at most prod b_i distinct log-length residues") is
-verified without any floating point.
+verified without any floating point: exact_residues_rational walks the class
+shifts of _class_shifts breadth-first, exact_residue_distribution powers them.
 
 These are single-threaded reference implementations: auditability over speed.
 """
@@ -118,43 +119,40 @@ def _rational_pairs(y) -> list[tuple[int, int]]:
     return pairs
 
 
+def _class_shifts(pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """L = lcm(b_i), and the shift u_j = sum_{i>=j} a_i (L/b_i) mod L that a cut
+    into child j adds to a stick's residue class u/L (the last child's is 0)."""
+    lcm = math.lcm(*(b for _, b in pairs))
+    steps = [a * (lcm // b) for a, b in pairs]
+    return lcm, [sum(steps[j:]) % lcm for j in range(len(pairs) + 1)]
+
+
 def exact_residues_rational(y, N: int, base_offset: float = 0.0) -> ExactResidueSet:
     """Distinct residues of sum_i s_i * a_i/b_i mod 1 over all stage-N sticks.
 
     y is the list of exact rational exponents (Fractions or (a, b) pairs).
-    The partial sums s_i = k_1 + ... + k_i of a composition satisfy
-    0 <= s_1 <= ... <= s_{m-1} <= N, and the residue only depends on each
-    s_i mod b_i, so it suffices to scan the residue-class tuples and keep
-    those whose minimal monotone lift stays <= N.  Exact integer arithmetic
-    over lcm(b_1..b_{m-1}); no floating-point merging.
+    The classes u/L reachable in n cuts are walked breadth-first from 0, one
+    layer per cut of the _class_shifts; the last child's shift is 0, so the
+    layers only grow and the walk ends after N layers or at the first that
+    adds no class.  count <= L <= prod b_i, and count = L once N >= L - 1
+    (the shifts generate Z_L).  Exact integer arithmetic; no float merging.
     """
     if N < 0:
         raise ValueError(f"need N >= 0, got {N}")
     pairs = _rational_pairs(y)
-    bs = [b for _, b in pairs]
-    lcm = math.lcm(*bs)
-    bound = math.prod(bs)
-    seen: set[int] = set()
-
-    def scan(i: int, prev_s: int, acc: int) -> None:
-        if i == len(pairs):
-            seen.add(acc % lcm)
-            return
-        a, b = pairs[i]
-        step = a * (lcm // b)
-        for t in range(b):
-            s = prev_s + ((t - prev_s) % b)  # minimal s >= prev_s with s = t mod b
-            if s > N:
-                continue
-            scan(i + 1, s, acc + t * step)
-
-    scan(0, 0, 0)
-    residues = tuple(sorted(Fraction(v, lcm) for v in seen))
+    lcm, shifts = _class_shifts(pairs)
+    seen, frontier = {0}, {0}
+    for _ in range(N):
+        frontier = {(v + u) % lcm for v in frontier for u in shifts} - seen
+        if not frontier:
+            break
+        seen |= frontier
+    residues = tuple(Fraction(v, lcm) for v in sorted(seen))
     return ExactResidueSet(
         residues=residues,
         count=len(residues),
         lcm=lcm,
-        denominator_bound=bound,
+        denominator_bound=math.prod(b for _, b in pairs),
         offset=_frac(base_offset),
     )
 
@@ -179,9 +177,9 @@ def exact_residue_distribution(
     """Mass carried by each exact residue class, by powering the one-step law on Z_L.
 
     With L = lcm(b_i), a stick's residue sum_i s_i a_i/b_i mod 1 is u/L, and
-    a cut into child j adds u_j = sum_{i>=j} a_i (L/b_i) mod L to u (the last
-    child adds 0).  So the mass of class u is the coefficient of x^u in
-    (sum_j q_j x^{u_j})^N in R[x]/(x^L - 1), computed by binary powering.
+    a cut into child j adds the shift u_j of _class_shifts to u.  So the mass
+    of class u is the coefficient of x^u in (sum_j q_j x^{u_j})^N in
+    R[x]/(x^L - 1), computed by binary powering.
     Uniform: q_j = 1, the coefficients are exact multinomial counts in
     Python ints, divided by m^N once.  Length: q_j = p_j, in floats.  Rows
     are the classes with non-zero mass, ascending.  cap still bounds the
@@ -198,11 +196,11 @@ def exact_residue_distribution(
         raise ValueError(f"need N >= 0, got {N}")
     if math.comb(N + m - 1, m - 1) > cap:
         raise ResourceLimitError(f"composition count exceeds cap {cap}")
-    lcm = math.lcm(*(b for _, b in pairs))
+    lcm, shifts = _class_shifts(pairs)
     q, total = ([1] * m, m**N) if measure == MEASURE_UNIFORM else (list(model.p), 1)
     step = [0] * lcm
-    for j, qj in enumerate(q):
-        step[sum(a * (lcm // b) for a, b in pairs[j:]) % lcm] += qj
+    for u, qj in zip(shifts, q):
+        step[u] += qj
     law = [1] + [0] * (lcm - 1)
     n = N
     while n:

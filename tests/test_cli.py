@@ -193,6 +193,8 @@ class TestBadFlags:
             ["classify", "--tolerance", "nan"],
             ["analyze", "--N", "5", "--threads", "0"],
             ["analyze", "--N", "-1"],
+            ["analyze", "--N", "5", "--cap", "0"],
+            ["analyze", "--N", "5", "--cap", "-1"],
             ["analyze", "--N", "2000", "--cap", "1000", "--length", "0"],
             ["analyze", "--N", "2000", "--cap", "1000", "--length", "-3"],
             ["analyze", "--N", "2000", "--cap", "1000", "--length", "inf"],

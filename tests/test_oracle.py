@@ -120,6 +120,25 @@ class TestExactResidues:
         for N in (0, 1, 10, 1000):
             assert exact_residues_rational([(0, 1)], N).count == 1
 
+    @pytest.mark.parametrize("b", [7, 997])
+    def test_two_children_count_is_min_n_plus_1_b(self, b):
+        # m=2, y = a/b in lowest terms: a stick's residue is s*a/b mod 1 for
+        # its s = 0..N cuts into the first child, distinct for s < b
+        for a in (-1, 3):
+            for N in (0, 1, b - 2, b - 1, b, 10**6):
+                res = exact_residues_rational([(a, b)], N)
+                assert res.count == min(N + 1, b), (a, b, N)
+
+    def test_count_is_lcm_from_n_lcm_minus_1(self):
+        # the a_i L/b_i generate Z_L and each cut before saturation adds a
+        # class, so all L = lcm(b_i) classes are reached once N >= L - 1
+        for y in [*FIGURE_EXPONENTS.values(), *random_pairs()]:
+            dens = [Fraction(*e).denominator if isinstance(e, tuple) else e.denominator for e in y]
+            L = math.lcm(*dens)
+            for N in (L - 1, 10**6):
+                res = exact_residues_rational(y, N)
+                assert (res.count, res.lcm) == (L, L), (y, N)
+
     def test_bound_and_monotone_in_n(self):
         for pairs in random_pairs():
             bound = math.prod(b for _, b in pairs)
