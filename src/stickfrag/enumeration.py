@@ -61,6 +61,9 @@ class WeightedMod1Distribution:
         r, w = self.residues, self.masses
         if r.shape != w.shape or r.ndim != 1 or len(r) == 0:
             raise ValueError("residues and masses must be equal-length 1-d arrays")
+        # NaN passes every ordering and sum check below, so it is refused here
+        if not (np.isfinite(r).all() and np.isfinite(w).all()):
+            raise ValueError("residues and masses must be finite")
         if r[0] < 0.0 or r[-1] >= 1.0 or np.any(np.diff(r) <= 0):
             raise ValueError("residues must be strictly ascending inside [0, 1)")
         if np.any(w < 0.0):
@@ -82,12 +85,17 @@ class WeightedMod1Distribution:
 
 
 def _frac(x):
-    """Fractional part mapped into [0, 1); values within MERGE_TOL of 1 snap to 0."""
-    r = x - np.floor(x)
-    if np.isscalar(r) or r.ndim == 0:
+    """Fractional part mapped into [0, 1); values within MERGE_TOL of 1 snap to 0.
+
+    A scalar gives a float.  An array is overwritten with the result, which is
+    returned: callers pass a buffer they own, so no second one is allocated.
+    """
+    if np.ndim(x) == 0:
+        r = x - np.floor(x)
         return 0.0 if (1.0 - r) <= MERGE_TOL else float(r)
-    r[(1.0 - r) <= MERGE_TOL] = 0.0
-    return r
+    np.subtract(x, np.floor(x), out=x)
+    x[(1.0 - x) <= MERGE_TOL] = 0.0
+    return x
 
 
 def _write_indexed_csv(header: str, values: np.ndarray, path: str | Path) -> None:
@@ -109,13 +117,19 @@ def _write_indexed_csv(header: str, values: np.ndarray, path: str | Path) -> Non
 
 
 def _kahan_columns(K: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:
-    """Compensated row-wise dot product of integer matrix K with coeffs."""
+    """Compensated row-wise dot product of integer matrix K with coeffs.
+
+    y and comp are updated in place, so at most four arrays of len(K) live.
+    """
     acc = np.zeros(len(K))
     comp = np.zeros(len(K))
+    y = np.empty(len(K))
     for j, c in enumerate(coeffs):
-        y = K[:, j] * c - comp
+        np.multiply(K[:, j], c, out=y)
+        y -= comp
         t = acc + y
-        comp = (t - acc) - y
+        np.subtract(t, acc, out=comp)
+        comp -= y
         acc = t
     return acc
 
@@ -154,28 +168,35 @@ def composition_array(N: int, m: int) -> np.ndarray:
     """All weak compositions as a C-contiguous int64 array, rows in compositions() order.
 
     Built one column (level) at a time with vectorised steps.  Each partial
-    row carries rem, what is left of N for its remaining parts.  Level 1 is
-    k1 = N..0.  At each middle level every partial row with remainder r
-    expands into r+1 children (np.repeat), whose next part runs r..0, so
-    children stay grouped under their parent in descending order.  The last
-    part takes whatever remains.
+    row carries rem, what is left of N for its remaining parts, in the column
+    after its last decided part.  Level 1 is k1 = N..0.  At each middle level
+    every partial row with remainder r expands into r+1 children (np.repeat),
+    whose next part runs r..0, so children stay grouped under their parent in
+    descending order.  The last part takes whatever remains.  Each level is
+    gathered into one (rows, m) array, so the last level is the result.
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     if N < 0:
         raise ValueError(f"need N >= 0, got {N}")
-    rem = np.arange(N + 1, dtype=np.int64)
-    cols = [N - rem]
-    for _ in range(m - 2):
-        counts = rem + 1
-        parent = np.repeat(np.arange(len(rem), dtype=np.int64), counts)
+    K = np.empty((N + 1, m), dtype=np.int64)
+    K[:, 0] = np.arange(N, -1, -1)
+    K[:, 1] = np.arange(N + 1)
+    for j in range(1, m - 1):
+        counts = K[:, j] + 1
+        parent = np.repeat(np.arange(len(K), dtype=np.int64), counts)
         # child i of a parent with remainder r takes r - i and leaves i
-        offset = np.arange(len(parent), dtype=np.int64) - (np.cumsum(counts) - counts)[parent]
-        cols = [c[parent] for c in cols]
-        cols.append(rem[parent] - offset)
-        rem = offset
-    cols.append(rem)
-    return np.column_stack(cols)
+        offset = np.arange(len(parent), dtype=np.int64)
+        offset -= (np.cumsum(counts) - counts)[parent]
+        child = np.empty((len(parent), m), dtype=np.int64)
+        child[:, j + 1] = offset
+        del offset
+        for i in range(j + 1):
+            child[:, i] = K[parent, i]
+        del parent
+        child[:, j] -= child[:, j + 1]
+        K = child
+    return K
 
 
 def log_multinomial(N: int, k: Composition | Sequence[int]) -> float:
@@ -207,10 +228,10 @@ def atom_for(
         raise ValueError(f"{counts} has a negative part")
     K = np.array([counts], dtype=np.int64)
     lg_parts = np.array([[math.lgamma(c + 1) for c in counts]])
-    residue, (log_mass_uniform, log_mass_length) = _atom_table(
-        K, lg_parts, math.lgamma(sum(counts) + 1), model, base, MEASURES
-    )
-    return float(residue[0]), float(log_mass_uniform[0]), float(log_mass_length[0])
+    out = np.empty((1 + len(MEASURES), 1))
+    _atom_table(K, math.lgamma(sum(counts) + 1) - lg_parts.sum(axis=1), model, base, MEASURES, out)
+    residue, log_mass_uniform, log_mass_length = out[:, 0].tolist()
+    return residue, log_mass_uniform, log_mass_length
 
 
 def _cluster_starts(points: np.ndarray, tol: float) -> np.ndarray:
@@ -225,21 +246,24 @@ def _cluster_starts(points: np.ndarray, tol: float) -> np.ndarray:
 def _merge_atoms(residues: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort atoms and merge residues closer than MERGE_TOL (chained).
 
-    The merged residue is the plain mean of the cluster: it stays inside the
-    cluster's span, so representatives of distinct clusters keep their order.
+    residues must be finite float64 values >= +0.0, as _frac returns them:
+    there the int64 order of the bit patterns is the float order, and the
+    stable integer sort is the faster one.  The merged residue is the plain
+    mean of the cluster: it stays inside the cluster's span, so
+    representatives of distinct clusters keep their order.
     """
-    order = np.argsort(residues, kind="stable")
+    order = np.argsort(residues.view(np.int64), kind="stable")
     r = residues[order]
     w = weights[order]
-    boundary = _cluster_starts(r, MERGE_TOL)
-    n_clusters = int(np.count_nonzero(boundary))
+    del order
+    starts = np.flatnonzero(_cluster_starts(r, MERGE_TOL))
+    lens = np.diff(starts, append=len(r))
+    n_clusters = len(starts)
     if n_clusters <= 4096:
         # few big clusters: per-cluster pairwise sums keep roundoff ~eps*log(n).
         # Clusters of one length L are summed in one reduction over a (k, L)
         # gather; each gathered row is C-contiguous, so numpy blocks its sum
         # exactly as it would the 1-d slice, and the result is bit-identical.
-        starts = np.flatnonzero(boundary)
-        lens = np.diff(starts, append=len(r))
         mass = np.empty(n_clusters)
         rep_sums = np.empty(n_clusters)
         by_len = np.argsort(lens, kind="stable")
@@ -249,10 +273,11 @@ def _merge_atoms(residues: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
             rep_sums[sel] = np.add.reduce(r[rows], axis=1)
         rep = rep_sums / lens
     else:
-        cid = np.cumsum(boundary) - 1
+        # cluster ids from the starts: a cumsum over the mask would first
+        # cast all of it to int64
+        cid = np.repeat(np.arange(n_clusters), lens)
         mass = np.bincount(cid, weights=w, minlength=n_clusters)
-        counts = np.bincount(cid, minlength=n_clusters)
-        rep = np.bincount(cid, weights=r, minlength=n_clusters) / counts
+        rep = np.bincount(cid, weights=r, minlength=n_clusters) / lens
     return rep, mass
 
 
@@ -275,29 +300,35 @@ def distribution_from_residues(
     n = len(residues)
     if n == 0:
         raise ValueError("need at least one residue")
-    r = _frac(np.asarray(residues, dtype=float))
-    return build_distribution(r, np.full(n, 1.0 / n), measure, N, m)
+    r = _frac(np.array(residues, dtype=float))
+    # equal weights as a read-only view of one value; the merge only gathers from it
+    return build_distribution(r, np.broadcast_to(1.0 / n, n), measure, N, m)
 
 
 def _atom_table(
-    K: np.ndarray, lg_parts: np.ndarray, lg_N: float, model: ProportionVector, base: int, measures: Sequence[str]
-) -> tuple[np.ndarray, list[np.ndarray]]:
+    K: np.ndarray,
+    logmult: np.ndarray,
+    model: ProportionVector,
+    base: int,
+    measures: Sequence[str],
+    out: np.ndarray,
+) -> None:
     """Residues, and log-masses for each of measures, of a block of composition rows.
 
-    lg_parts holds lgamma(k + 1) for each part of K, and lg_N is lgamma(N + 1).
+    They are written into the rows of out, shape (1 + len(measures), len(K)):
+    residues first, then one row of log-masses per measure.  logmult holds
+    each row's log multinomial coefficient, lgamma(N + 1) - sum lgamma(k + 1).
     The arithmetic is elementwise per row, so a row's atom does not depend on
     the block it sits in; atom_for is this function on a one-row block.
     """
     N = int(K[0].sum())
     m = K.shape[1]
-    logmult = lg_N - lg_parts.sum(axis=1)
-    residues = _frac(_kahan_columns(K, [log_base(p, base) for p in model.p]))
-    logmasses = [
-        logmult - N * math.log(m) if measure == MEASURE_UNIFORM
-        else logmult + _kahan_columns(K, [math.log(p) for p in model.p])
-        for measure in measures
-    ]
-    return residues, logmasses
+    out[0] = _frac(_kahan_columns(K, [log_base(p, base) for p in model.p]))
+    for measure, logmass in zip(measures, out[1:]):
+        if measure == MEASURE_UNIFORM:
+            np.subtract(logmult, N * math.log(m), out=logmass)
+        else:
+            np.add(logmult, _kahan_columns(K, [math.log(p) for p in model.p]), out=logmass)
 
 
 def exact_distribution(
@@ -318,7 +349,11 @@ def exact_distribution(
     single-threaded, because splitting the atom table over threads did not
     pay on the benchmark.  The atom table is still built in fixed-size
     chunks, which bounds its temporaries; its arithmetic is elementwise per
-    row, so the chunking does not change a byte of the result.
+    row, so the chunking does not change a byte of the result.  Each chunk
+    lands in one preallocated residue and log-mass table, the composition
+    table is dropped before the merge, and the peak shift and exp run in
+    place, so the composition table, the atom table and the merge's sorted
+    copies are never all live at once.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
@@ -333,13 +368,16 @@ def exact_distribution(
         )
     K = composition_array(N, model.m)
     lgt = np.array([math.lgamma(i + 1) for i in range(N + 1)])
-    chunks = [K[i:i + _CHUNK_ROWS] for i in range(0, len(K), _CHUNK_ROWS)]
-    parts = [_atom_table(c, lgt[c], lgt[N], model, base, (measure,)) for c in chunks]
-    residues = np.concatenate([p[0] for p in parts])
-    logmass = np.concatenate([p[1][0] for p in parts])
+    table = np.empty((2, len(K)))
+    for i in range(0, len(K), _CHUNK_ROWS):
+        c = K[i:i + _CHUNK_ROWS]
+        _atom_table(c, lgt[N] - lgt[c].sum(axis=1), model, base, (measure,), table[:, i:i + len(c)])
+    del K, c  # c is a view that would keep the composition table alive
+    residues, logmass = table
     peak = float(logmass.max())
-    scaled = np.exp(logmass - peak)
-    rep, mass = _merge_atoms(residues, scaled)
+    logmass -= peak
+    np.exp(logmass, out=logmass)
+    rep, mass = _merge_atoms(residues, logmass)
     if peak != 0.0:  # undo the peak shift; total returns to 1 up to roundoff
         mass = mass * math.exp(peak)
     return WeightedMod1Distribution(rep, mass, measure, N, model.m)

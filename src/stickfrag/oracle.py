@@ -218,12 +218,18 @@ def distribution_from_leaves(
     """Tally brute-force leaves into a weighted mod-1 distribution."""
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
-    logs = np.log10(leaves.lengths) if base == 10 else np.log(leaves.lengths) / math.log(base)
-    residues = _frac(logs)
-    if measure == MEASURE_UNIFORM:
-        masses = np.full(len(residues), 1.0 / len(residues))
+    if base == 10:
+        residues = np.log10(leaves.lengths)
     else:
-        masses = leaves.lengths.copy()
+        residues = np.log(leaves.lengths)
+        residues /= math.log(base)
+    _frac(residues)
+    # read-only weights, as the merge only gathers from them: one value
+    # broadcast for the uniform measure, the leaf lengths for the length one
+    if measure == MEASURE_UNIFORM:
+        masses = np.broadcast_to(1.0 / len(residues), len(residues))
+    else:
+        masses = leaves.lengths
     return build_distribution(residues, masses, measure, leaves.N, leaves.m)
 
 
@@ -241,7 +247,9 @@ def cross_check(
     carries the largest per-cluster mass discrepancy.
     """
     leaves = brute_force_leaves(model, N, guard)
+    n_leaves = len(leaves.lengths)
     brute = distribution_from_leaves(leaves, base, measure)
+    del leaves  # m**N lengths; only the merged atoms are compared
     exact = exact_distribution(model, N, base, measure)
     points = np.concatenate([exact.residues, brute.residues])
     signed = np.concatenate([exact.masses, -brute.masses])
@@ -260,7 +268,7 @@ def cross_check(
         max_mass_deviation=deviation,
         atoms_exact=exact.atoms,
         atoms_brute=brute.atoms,
-        leaves=len(leaves.lengths),
+        leaves=n_leaves,
         measure=measure,
         N=N,
         m=model.m,

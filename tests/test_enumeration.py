@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,13 +9,16 @@ from stickfrag import (
     MEASURE_UNIFORM,
     ProportionVector,
     ResourceLimitError,
+    WeightedMod1Distribution,
     atom_for,
     composition_count,
     compositions,
     distribution_from_residues,
     exact_distribution,
     log_multinomial,
+    ExponentSpec,
     make_model,
+    proportions_from_exponents,
     rotate_distribution,
     write_distribution_csv,
 )
@@ -192,7 +196,9 @@ class TestAtomFor:
         K = composition_array(N, 3)
         lgt = np.array([math.lgamma(i + 1) for i in range(N + 1)])
         for base in (10, 7):
-            residues, (lu, ll) = _atom_table(K, lgt[K], lgt[N], model, base, MEASURES)
+            table = np.empty((1 + len(MEASURES), len(K)))
+            _atom_table(K, lgt[N] - lgt[K].sum(axis=1), model, base, MEASURES, table)
+            residues, lu, ll = table
             for i in np.random.default_rng(3).choice(len(K), 200, replace=False).tolist() + [0, len(K) - 1]:
                 got = np.array(atom_for(model, K[i].tolist(), base))
                 assert np.array_equal(got.view(np.int64), np.array([residues[i], lu[i], ll[i]]).view(np.int64))
@@ -299,6 +305,15 @@ class TestExactDistribution:
         assert np.array_equal(d1.residues, d2.residues)
         assert np.array_equal(d1.masses, d2.masses)
 
+    def test_working_set_per_composition(self, traced_peak):
+        # fig7 at N=1000: 501,501 compositions.  The composition table, the
+        # atom table and the merge each hold about 40 B per composition and
+        # die at their last use; holding them all at once took about 97 B.
+        model = proportions_from_exponents(ExponentSpec((Fraction(-1, 2), -math.sqrt(2))))
+        N = 1000
+        peak = traced_peak(lambda: exact_distribution(model, N, measure=MEASURE_LENGTH))
+        assert peak <= 70 * composition_count(N, 3)
+
     def test_atoms_match_atom_for(self):
         model = make_model([0.25, 0.35])
         N = 7
@@ -309,6 +324,18 @@ class TestExactDistribution:
         for r, _, ll in raw:
             i = int(np.argmin(np.abs(d.residues - r)))
             assert abs(d.residues[i] - r) < 1e-9
+
+
+class TestDistributionValidation:
+    @pytest.mark.parametrize(
+        "residues,masses",
+        [([0.1, np.nan], [0.5, 0.5]), ([0.1, 0.2], [0.5, np.nan])],
+        ids=["nan-residue", "nan-mass"],
+    )
+    def test_nan_refused(self, residues, masses):
+        # NaN compares False with everything, so no ordering or sum check sees it
+        with pytest.raises(ValueError, match="finite"):
+            WeightedMod1Distribution(np.array(residues), np.array(masses), MEASURE_UNIFORM, 1, 2)
 
 
 class TestMergeAtoms:
@@ -328,6 +355,21 @@ class TestMergeAtoms:
         rep, mass = _merge_atoms(residues, weights)
         ref_rep, ref_mass = reference_merge(residues, weights)
         assert len(rep) == len(lens)
+        assert np.array_equal(bits(rep), bits(ref_rep))
+        assert np.array_equal(bits(mass), bits(ref_mass))
+
+    @pytest.mark.parametrize("n_values", [50, 5000], ids=["pairwise", "bincount"])
+    def test_exact_ties_keep_input_order(self, n_values):
+        # residues drawn with repetition from n_values floats (0.0, the value
+        # _frac snaps to, among them) tie exactly but carry distinct weights,
+        # so a cluster's sum order is the tie order of the sort
+        rng = np.random.default_rng(n_values)
+        values = np.append(rng.random(n_values - 1), 0.0)
+        residues = rng.choice(values, 20_000)
+        weights = rng.random(20_000)
+        rep, mass = _merge_atoms(residues, weights)
+        ref_rep, ref_mass = reference_merge(residues, weights)
+        assert len(rep) == len(np.unique(residues))
         assert np.array_equal(bits(rep), bits(ref_rep))
         assert np.array_equal(bits(mass), bits(ref_mass))
 

@@ -244,6 +244,14 @@ class TestCrossCheck:
         with pytest.raises(ResourceLimitError):
             cross_check(make_model([0.5]), 30)
 
+    @pytest.mark.parametrize("measure", [MEASURE_UNIFORM, MEASURE_LENGTH])
+    def test_working_set_per_leaf(self, measure, traced_peak):
+        # 2**17 leaves: the lengths, their residues and the merge's sorted
+        # copies live at once, about 41 B per leaf; the weights are views
+        N = 17
+        peak = traced_peak(lambda: cross_check(ProportionVector((0.3, 0.7)), N, measure=measure))
+        assert peak <= 55 * 2**N
+
     def test_brute_distribution_measures(self):
         leaves = brute_force_leaves(make_model([0.25, 0.35]), 5)
         for measure in (MEASURE_UNIFORM, MEASURE_LENGTH):
