@@ -251,11 +251,21 @@ def _merge_atoms(residues: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     stable integer sort is the faster one.  The merged residue is the plain
     mean of the cluster: it stays inside the cluster's span, so
     representatives of distinct clusters keep their order.
+
+    Equal weights, passed as one value broadcast (stride 0), are ordered by
+    a plain value sort instead.  Residues that compare equal have equal bits
+    here (no -0.0 among them), so the sorted residues are the stable
+    order's; the weights are interchangeable, so every sum over them is the
+    same bit for bit, and no permutation is built or gathered by.
     """
-    order = np.argsort(residues.view(np.int64), kind="stable")
-    r = residues[order]
-    w = weights[order]
-    del order
+    if weights.strides == (0,):
+        r = np.sort(residues)
+        w = weights
+    else:
+        order = np.argsort(residues.view(np.int64), kind="stable")
+        r = residues[order]
+        w = weights[order]
+        del order
     starts = np.flatnonzero(_cluster_starts(r, MERGE_TOL))
     lens = np.diff(starts, append=len(r))
     n_clusters = len(starts)
@@ -301,7 +311,8 @@ def distribution_from_residues(
     if n == 0:
         raise ValueError("need at least one residue")
     r = _frac(np.array(residues, dtype=float))
-    # equal weights as a read-only view of one value; the merge only gathers from it
+    # equal weights as a read-only view of one value, which the merge orders
+    # by a value sort
     return build_distribution(r, np.broadcast_to(1.0 / n, n), measure, N, m)
 
 

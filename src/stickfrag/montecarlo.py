@@ -95,6 +95,9 @@ def _sample_chunk(config: SamplerConfig, N: int, base: int, chunk_index: int, n:
     else:
         alpha = np.array(config.mode.concentration)
         total = np.zeros(n)
+        # flat offset of each row in the C-contiguous (n, m) draw, so one
+        # 1-d gather picks each row's coordinate
+        rows = np.arange(n) * m
         for _ in range(N):
             P = rng.dirichlet(alpha, size=n)
             if config.measure == MEASURE_UNIFORM:
@@ -102,7 +105,7 @@ def _sample_chunk(config: SamplerConfig, N: int, base: int, chunk_index: int, n:
             else:
                 u = rng.random(n)
                 idx = np.minimum((P.cumsum(axis=1) < u[:, None]).sum(axis=1), m - 1)
-            chosen = P[np.arange(n), idx]
+            chosen = P.ravel()[idx + rows]
             total += np.log10(chosen) if base == 10 else np.log(chosen) / math.log(base)
     return _frac(total)
 

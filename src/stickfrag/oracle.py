@@ -225,7 +225,8 @@ def distribution_from_leaves(
         residues /= math.log(base)
     _frac(residues)
     # read-only weights, as the merge only gathers from them: one value
-    # broadcast for the uniform measure, the leaf lengths for the length one
+    # broadcast for the uniform measure (merged by a value sort), the leaf
+    # lengths for the length one
     if measure == MEASURE_UNIFORM:
         masses = np.broadcast_to(1.0 / len(residues), len(residues))
     else:

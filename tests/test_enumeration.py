@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from stickfrag import (
+    FixedProportions,
     MEASURE_LENGTH,
     MEASURE_UNIFORM,
     ProportionVector,
+    RandomProportions,
     ResourceLimitError,
+    SamplerConfig,
     WeightedMod1Distribution,
     atom_for,
     composition_count,
@@ -20,9 +23,13 @@ from stickfrag import (
     make_model,
     proportions_from_exponents,
     rotate_distribution,
+    sample_leaf_residues,
     write_distribution_csv,
 )
-from stickfrag.enumeration import MEASURES, MERGE_TOL, _atom_table, _merge_atoms, composition_array
+from stickfrag.enumeration import MEASURES, MERGE_TOL, _atom_table, _frac, _merge_atoms, composition_array
+from stickfrag.oracle import brute_force_leaves
+
+FIG7 = proportions_from_exponents(ExponentSpec((Fraction(-1, 2), -math.sqrt(2))))
 
 
 def exact_multinomial(N, k):
@@ -309,10 +316,18 @@ class TestExactDistribution:
         # fig7 at N=1000: 501,501 compositions.  The composition table, the
         # atom table and the merge each hold about 40 B per composition and
         # die at their last use; holding them all at once took about 97 B.
-        model = proportions_from_exponents(ExponentSpec((Fraction(-1, 2), -math.sqrt(2))))
         N = 1000
-        peak = traced_peak(lambda: exact_distribution(model, N, measure=MEASURE_LENGTH))
+        peak = traced_peak(lambda: exact_distribution(FIG7, N, measure=MEASURE_LENGTH))
         assert peak <= 70 * composition_count(N, 3)
+
+    def test_working_set_per_sample(self, traced_peak):
+        # 2**17 fig7 samples: the residue copy, its sorted copy and the
+        # cluster scan take about 25 B per row; a stable permutation and the
+        # weights gathered by it made that 33
+        n = 2**17
+        residues, _ = sample_leaf_residues(SamplerConfig(seed=1, samples=n, mode=FixedProportions(FIG7)), 1000)
+        peak = traced_peak(lambda: distribution_from_residues(residues, MEASURE_UNIFORM, 1000, 3))
+        assert peak <= 28 * n
 
     def test_atoms_match_atom_for(self):
         model = make_model([0.25, 0.35])
@@ -338,18 +353,29 @@ class TestDistributionValidation:
             WeightedMod1Distribution(np.array(residues), np.array(masses), MEASURE_UNIFORM, 1, 2)
 
 
+CLUSTER_LENS = [
+    [7] * 300 + [3] * 200 + [40] * 50,  # many clusters share a length
+    list(range(1, 300)),  # every length distinct
+    [100_000],  # one big cluster
+    [100_000, 100_000, 9],  # two big clusters of one length
+    [1] * 2000,  # singletons
+]
+CLUSTER_IDS = ["shared", "distinct", "big", "big-pair", "singletons"]
+
+
+def equal_weight_merge_matches_reference(residues, c):
+    """_merge_atoms on one weight c broadcast against the stable-order
+    reference on the same weight materialised; returns the merged atoms."""
+    n = len(residues)
+    rep, mass = _merge_atoms(residues, np.broadcast_to(c, n))
+    ref_rep, ref_mass = reference_merge(residues, np.full(n, c))
+    assert np.array_equal(bits(rep), bits(ref_rep))
+    assert np.array_equal(bits(mass), bits(ref_mass))
+    return rep, mass
+
+
 class TestMergeAtoms:
-    @pytest.mark.parametrize(
-        "lens",
-        [
-            [7] * 300 + [3] * 200 + [40] * 50,  # many clusters share a length
-            list(range(1, 300)),  # every length distinct
-            [100_000],  # one big cluster
-            [100_000, 100_000, 9],  # two big clusters of one length
-            [1] * 2000,  # singletons
-        ],
-        ids=["shared", "distinct", "big", "big-pair", "singletons"],
-    )
+    @pytest.mark.parametrize("lens", CLUSTER_LENS, ids=CLUSTER_IDS)
     def test_bit_identical_to_slice_loop(self, lens):
         residues, weights = clustered_atoms(lens, seed=len(lens))
         rep, mass = _merge_atoms(residues, weights)
@@ -385,6 +411,48 @@ class TestMergeAtoms:
         assert np.array_equal(bits(mass), bits(ref_mass))
         other_rep, other_mass = reference_merge(residues, weights, loop_max=other_loop_max)
         assert not (np.array_equal(bits(other_rep), bits(rep)) and np.array_equal(bits(other_mass), bits(mass)))
+
+    @pytest.mark.parametrize("lens", CLUSTER_LENS, ids=CLUSTER_IDS)
+    def test_equal_weight_clustered(self, lens):
+        # one weight broadcast takes the value sort; its bits must be the
+        # stable permutation's
+        residues, _ = clustered_atoms(lens, seed=len(lens))
+        rep, _ = equal_weight_merge_matches_reference(residues, 1.0 / len(residues))
+        assert len(rep) == len(lens)
+
+    @pytest.mark.parametrize("n_values", [50, 5000], ids=["pairwise", "bincount"])
+    def test_equal_weight_exact_ties(self, n_values):
+        rng = np.random.default_rng(n_values)
+        values = np.append(rng.random(n_values - 1), 0.0)
+        residues = rng.choice(values, 20_000)
+        rep, _ = equal_weight_merge_matches_reference(residues, 1.0 / 20_000)
+        assert len(rep) == len(np.unique(residues))
+
+    @pytest.mark.parametrize("n_clusters,other_loop_max", [(4096, 4095), (4097, 4097)])
+    def test_equal_weight_branch_boundary(self, n_clusters, other_loop_max):
+        lens = np.random.default_rng(n_clusters).integers(1, 41, n_clusters)
+        residues, _ = clustered_atoms(lens, seed=n_clusters)
+        c = 1.0 / len(residues)
+        rep, mass = equal_weight_merge_matches_reference(residues, c)
+        other_rep, other_mass = reference_merge(residues, np.full(len(residues), c), loop_max=other_loop_max)
+        assert not (np.array_equal(bits(other_rep), bits(rep)) and np.array_equal(bits(other_mass), bits(mass)))
+
+    def test_equal_weight_brute_force_leaves(self):
+        leaves = brute_force_leaves(ProportionVector((0.3, 0.7)), 15)
+        residues = _frac(np.log10(leaves.lengths))
+        equal_weight_merge_matches_reference(residues, 1.0 / len(residues))
+
+    @pytest.mark.parametrize(
+        "mode,N",
+        [
+            (FixedProportions(FIG7), 1000),
+            (RandomProportions(3, (1.0, 1.0, 1.0)), 100),
+        ],
+        ids=["fig7", "dirichlet"],
+    )
+    def test_equal_weight_samples(self, mode, N):
+        residues, _ = sample_leaf_residues(SamplerConfig(seed=3, samples=2**15, mode=mode), N)
+        equal_weight_merge_matches_reference(residues, 1.0 / len(residues))
 
 
 class TestRotation:

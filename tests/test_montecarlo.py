@@ -19,8 +19,8 @@ from stickfrag import (
     proportions_from_exponents,
     sample_leaf_residues,
 )
-from stickfrag.enumeration import _CSV_BLOCK_ROWS
-from stickfrag.montecarlo import write_metadata_json, write_samples_csv
+from stickfrag.enumeration import _CSV_BLOCK_ROWS, _frac
+from stickfrag.montecarlo import _sample_chunk, write_metadata_json, write_samples_csv
 from stickfrag.oracle import brute_force_leaves, write_leaves_csv
 
 
@@ -111,6 +111,46 @@ class TestFixedSampling:
         assert np.isin(res, exact.residues).all()
 
 
+def reference_dirichlet_chunk(config, N, base, chunk_index, n):
+    """The Dirichlet branch of _sample_chunk with a 2-d fancy index per stage."""
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, chunk_index)))
+    m = config.m
+    alpha = np.array(config.mode.concentration)
+    total = np.zeros(n)
+    for _ in range(N):
+        P = rng.dirichlet(alpha, size=n)
+        if config.measure == MEASURE_UNIFORM:
+            idx = rng.integers(0, m, size=n)
+        else:
+            u = rng.random(n)
+            idx = np.minimum((P.cumsum(axis=1) < u[:, None]).sum(axis=1), m - 1)
+        chosen = P[np.arange(n), idx]
+        total += np.log10(chosen) if base == 10 else np.log(chosen) / math.log(base)
+    return _frac(total)
+
+
+def beta_moment(a, b, s):
+    """E[X^s] of X ~ Beta(a, b) for integer b: prod_{k<b} (a+k)/(a+s+k)."""
+    v = 1.0
+    for k in range(b):
+        v *= (a + k) / (a + s + k)
+    return v
+
+
+def dirichlet_stage_coefficient(alpha, measure, base, h):
+    """phi(h) = E[exp(-2 pi i h log_base P)] of one stage's chosen coordinate P.
+
+    Coordinate j of Dirichlet(alpha) is Beta(alpha_j, alpha_0 - alpha_j).  The
+    uniform measure picks j with probability 1/m; the length measure picks it
+    with probability P_j, which tilts Beta(a, b) to Beta(a + 1, b).
+    """
+    s = -2j * math.pi * h / math.log(base)
+    a0 = sum(alpha)
+    if measure == MEASURE_UNIFORM:
+        return sum(beta_moment(a, a0 - a, s) for a in alpha) / len(alpha)
+    return sum(a / a0 * beta_moment(a + 1, a0 - a, s) for a in alpha)
+
+
 class TestRandomProportions:
     def test_runs_and_is_deterministic(self):
         cfg = SamplerConfig(
@@ -128,6 +168,31 @@ class TestRandomProportions:
         )
         a, _ = sample_leaf_residues(cfg, 10)
         assert len(a) == 2000
+
+    @pytest.mark.parametrize("N", [0, 1, 25])
+    @pytest.mark.parametrize("base", [10, 7])
+    @pytest.mark.parametrize("measure", [MEASURE_UNIFORM, MEASURE_LENGTH])
+    @pytest.mark.parametrize("alpha", [(1.0, 1.0, 1.0), (2.0, 3.0)], ids=["m3", "m2"])
+    def test_stream_matches_reference(self, alpha, measure, base, N):
+        cfg = SamplerConfig(seed=11, samples=1, mode=RandomProportions(len(alpha), alpha), measure=measure)
+        got = _sample_chunk(cfg, N, base, 2, 3000)
+        ref = reference_dirichlet_chunk(cfg, N, base, 2, 3000)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("N", [1, 3])
+    @pytest.mark.parametrize("base", [10, 7])
+    @pytest.mark.parametrize("measure", [MEASURE_UNIFORM, MEASURE_LENGTH])
+    @pytest.mark.parametrize("alpha", [(1, 1, 1), (2, 3), (1, 2, 4)], ids=["111", "23", "124"])
+    def test_fourier_coefficients(self, alpha, measure, base, N):
+        # stages are independent, so E[exp(-2 pi i h R)] = phi(h)^N; the
+        # empirical mean of a unit-modulus variable errs by about 1/sqrt(n)
+        n = 2**16
+        cfg = SamplerConfig(seed=N, samples=n, mode=RandomProportions(len(alpha), alpha), measure=measure)
+        res, _ = sample_leaf_residues(cfg, N, base)
+        for h in (1, 2, 3):
+            empirical = np.exp(-2j * np.pi * h * res).mean()
+            exact = dirichlet_stage_coefficient(alpha, measure, base, h) ** N
+            assert abs(empirical - exact) <= 5 / math.sqrt(n)
 
     def test_validation(self):
         with pytest.raises(ValueError):
