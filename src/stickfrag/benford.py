@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .enumeration import WeightedMod1Distribution, _cluster_starts
+from .enumeration import WeightedMod1Distribution, _cluster_differences
 from .model import log_base
 
 SIGNIFICAND_SNAP = 1e-12
@@ -58,18 +59,23 @@ class BenfordReport:
 def significand(x: float, base: int = 10) -> float:
     """The S in x = S * base**e with S in [1, base).
 
-    Computed as base**frac(log_base x); an S within 1e-12 of base snaps to 1
-    to keep the half-open invariant through the log/exp round trip.
+    The log only picks e = floor(log_base x), corrected by one where it
+    rounded across a power of base; S = x / base**e is then divided exactly
+    (Fractions) and rounded once, so S = d for x = d * base**k.  An S within
+    1e-12 of base snaps to 1, keeping the half-open invariant.
     """
     if not isinstance(base, int) or base < 2:
         raise ValueError(f"base must be an integer >= 2, got {base!r}")
     if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0:
         raise ValueError(f"significand needs a positive finite value, got {x!r}")
-    lf = log_base(x, base)
-    s = math.pow(base, lf - math.floor(lf))
-    if base - s <= SIGNIFICAND_SNAP:
-        return 1.0
-    return max(s, 1.0)
+    e = math.floor(log_base(x, base))
+    q = Fraction(x) / Fraction(base) ** e
+    if q >= base:
+        q /= base
+    elif q < 1:
+        q *= base
+    s = float(q)
+    return 1.0 if base - s <= SIGNIFICAND_SNAP else s
 
 
 def _cumsum_compensated(w: np.ndarray) -> np.ndarray:
@@ -88,22 +94,22 @@ def _cumsum_compensated(w: np.ndarray) -> np.ndarray:
     return s + np.cumsum(err)
 
 
+def _cdf(dist: WeightedMod1Distribution) -> np.ndarray:
+    """Mass below each atom, then the total: cdf[i] is the mass of atoms 0..i-1."""
+    return np.concatenate(([0.0], _cumsum_compensated(dist.masses)))
+
+
 def _g_values(dist: WeightedMod1Distribution) -> tuple[np.ndarray, np.ndarray, float]:
     """(g at atoms from the right, from the left, g(1)) for g(s) = CDF(s) - s."""
-    cum = _cumsum_compensated(dist.masses)
-    g_right = cum - dist.residues
-    g_left = np.concatenate(([0.0], cum[:-1])) - dist.residues
-    return g_right, g_left, float(cum[-1] - 1.0)
+    cdf = _cdf(dist)
+    return cdf[1:] - dist.residues, cdf[:-1] - dist.residues, float(cdf[-1] - 1.0)
 
 
 def cdf_mod1(dist: WeightedMod1Distribution, s: float) -> float:
     """Total mass of atoms with residue <= s (right-continuous step function)."""
     if not (0.0 <= s <= 1.0):
         raise ValueError(f"s must lie in [0, 1], got {s!r}")
-    idx = int(np.searchsorted(dist.residues, s, side="right"))
-    if idx == 0:
-        return 0.0
-    return float(dist.masses[:idx].sum())
+    return float(_cdf(dist)[np.searchsorted(dist.residues, s, side="right")])
 
 
 def ks_to_uniform(dist: WeightedMod1Distribution) -> float:
@@ -135,8 +141,8 @@ def leading_digit_histogram(dist: WeightedMod1Distribution, base: int = 10) -> n
     edges[0] = 0.0
     edges[-1] = 1.0
     idx = np.searchsorted(dist.residues, edges, side="left")
-    cum = np.concatenate(([0.0], _cumsum_compensated(dist.masses)))
-    return cum[idx[1:]] - cum[idx[:-1]]
+    cdf = _cdf(dist)
+    return cdf[idx[1:]] - cdf[idx[:-1]]
 
 
 def chi2_vs_benford(freqs, base: int = 10) -> float:
@@ -174,31 +180,18 @@ def benford_report(
     )
 
 
-def ks_distance(
-    a: WeightedMod1Distribution, b: WeightedMod1Distribution, align_tol: float = 1e-9
-) -> float:
+def ks_distance(a: WeightedMod1Distribution, b: WeightedMod1Distribution) -> float:
     """sup norm between two atomic mod-1 CDFs, exact over the union of atoms.
 
-    Atoms of the two distributions closer than align_tol are treated as the
-    same location, so roundoff-level jitter between two routes to the same
-    atom does not register as a CDF gap.
+    The atoms of both are pooled into clusters within ALIGN_TOL
+    (_cluster_differences), so roundoff-level jitter between two routes to the
+    same atom does not register as a CDF gap.  The gap just after a cluster is
+    the running sum of the per-cluster mass differences up to it, and just
+    before it the sum up to the previous one, so the sup is the largest
+    |running sum|, taken with compensated summation.
     """
-    points = np.sort(np.concatenate([a.residues, b.residues]))
-    starts = np.flatnonzero(_cluster_starts(points, align_tol))
-    ends = np.append(starts[1:], len(points))
-    lo = points[starts]          # evaluate left limits just before each cluster
-    hi = points[ends - 1]        # and right limits just after it
-    cum_a = np.concatenate(([0.0], _cumsum_compensated(a.masses)))
-    cum_b = np.concatenate(([0.0], _cumsum_compensated(b.masses)))
-    right = np.abs(
-        cum_a[np.searchsorted(a.residues, hi, side="right")]
-        - cum_b[np.searchsorted(b.residues, hi, side="right")]
-    )
-    left = np.abs(
-        cum_a[np.searchsorted(a.residues, lo, side="left")]
-        - cum_b[np.searchsorted(b.residues, lo, side="left")]
-    )
-    return float(max(right.max(), left.max()))
+    _, diff = _cluster_differences(a, b)
+    return float(np.abs(_cumsum_compensated(diff)).max())
 
 
 def write_digits_csv(freqs, base: int, path: str | Path) -> None:

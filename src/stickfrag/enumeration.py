@@ -31,6 +31,7 @@ MEASURE_LENGTH = "length"    # each leaf weighted by its length
 MEASURES = (MEASURE_UNIFORM, MEASURE_LENGTH)
 
 MERGE_TOL = 1e-12
+ALIGN_TOL = 1e-9  # atoms of two distributions this close are one location
 DEFAULT_CAP = 10**8
 _CHUNK_ROWS = 1 << 17
 _CSV_BLOCK_ROWS = 1 << 13
@@ -243,6 +244,19 @@ def _cluster_starts(points: np.ndarray, tol: float) -> np.ndarray:
     return boundary
 
 
+def _cluster_differences(
+    a: WeightedMod1Distribution, b: WeightedMod1Distribution
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pooled atoms of a and b, stable-sorted, and a's mass minus b's per
+    cluster of them chained within ALIGN_TOL, so roundoff-level jitter between
+    two routes to one atom does not split it."""
+    points = np.concatenate([a.residues, b.residues])
+    order = np.argsort(points, kind="stable")
+    points = points[order]
+    cid = np.cumsum(_cluster_starts(points, ALIGN_TOL)) - 1
+    return points, np.bincount(cid, weights=np.concatenate([a.masses, -b.masses])[order])
+
+
 def _merge_atoms(residues: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort atoms and merge residues closer than MERGE_TOL (chained).
 
@@ -397,7 +411,7 @@ def exact_distribution(
 def rotate_distribution(dist: WeightedMod1Distribution, shift: float) -> WeightedMod1Distribution:
     """Rotate every residue by shift mod 1 (a global rescaling of lengths)."""
     rotated = _frac(dist.residues + shift)
-    return build_distribution(rotated, dist.masses.copy(), dist.measure, dist.N, dist.m)
+    return build_distribution(rotated, dist.masses, dist.measure, dist.N, dist.m)
 
 
 def write_distribution_csv(dist: WeightedMod1Distribution, path: str | Path) -> None:

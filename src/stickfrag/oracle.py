@@ -21,10 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .enumeration import (
+    ALIGN_TOL,
     MEASURE_UNIFORM,
     MEASURES,
     WeightedMod1Distribution,
-    _cluster_starts,
+    _cluster_differences,
     build_distribution,
     exact_distribution,
     _frac,
@@ -34,7 +35,6 @@ from .errors import ResourceLimitError
 from .model import ProportionVector
 
 BRUTE_FORCE_GUARD = 10**7
-CROSS_CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,16 +89,17 @@ class CrossCheckReport:
         return asdict(self)
 
 
-def brute_force_leaves(model: ProportionVector, N: int, guard: int = BRUTE_FORCE_GUARD) -> LeafList:
+def brute_force_leaves(model: ProportionVector, N: int) -> LeafList:
     """Expand the full tree: every leaf length by direct multiplication.
 
     Leaf order is depth-first with children in proportion order, which equals
-    stage-by-stage outer products on the full tree.
+    stage-by-stage outer products on the full tree.  Refuses with
+    ResourceLimitError above BRUTE_FORCE_GUARD leaves.
     """
     if N < 0:
         raise ValueError(f"need N >= 0, got {N}")
-    if model.m**N > guard:
-        raise ResourceLimitError(f"{model.m}**{N} = {model.m**N} leaves exceeds guard {guard}")
+    if model.m**N > BRUTE_FORCE_GUARD:
+        raise ResourceLimitError(f"{model.m}**{N} = {model.m**N} leaves exceeds guard {BRUTE_FORCE_GUARD}")
     lengths = np.array([1.0])
     p = np.array(model.p)
     for _ in range(N):
@@ -235,37 +236,28 @@ def distribution_from_leaves(
 
 
 def cross_check(
-    model: ProportionVector,
-    N: int,
-    base: int = 10,
-    measure: str = MEASURE_UNIFORM,
-    guard: int = BRUTE_FORCE_GUARD,
-    tol: float = CROSS_CHECK_TOL,
+    model: ProportionVector, N: int, base: int = 10, measure: str = MEASURE_UNIFORM
 ) -> CrossCheckReport:
     """Compare exact_distribution against the brute-force leaf tally.
 
-    Atoms from both sides are clustered together within tol; the report
-    carries the largest per-cluster mass discrepancy.
+    The atoms of both sides are pooled into clusters within ALIGN_TOL
+    (_cluster_differences); a first and last cluster within ALIGN_TOL across
+    the 0/1 wrap count as one.  The report carries the largest per-cluster
+    mass difference and passes when it is at most ALIGN_TOL.
     """
-    leaves = brute_force_leaves(model, N, guard)
+    leaves = brute_force_leaves(model, N)
     n_leaves = len(leaves.lengths)
     brute = distribution_from_leaves(leaves, base, measure)
     del leaves  # m**N lengths; only the merged atoms are compared
     exact = exact_distribution(model, N, base, measure)
-    points = np.concatenate([exact.residues, brute.residues])
-    signed = np.concatenate([exact.masses, -brute.masses])
-    order = np.argsort(points, kind="stable")
-    points = points[order]
-    signed = signed[order]
-    cid = np.cumsum(_cluster_starts(points, tol)) - 1
-    per_cluster = np.bincount(cid, weights=signed)
+    points, per_cluster = _cluster_differences(exact, brute)
     # wrap: first and last cluster may be the same atom split across 0/1
-    if len(per_cluster) > 1 and (points[0] + 1.0 - points[-1]) <= tol:
+    if len(per_cluster) > 1 and (points[0] + 1.0 - points[-1]) <= ALIGN_TOL:
         per_cluster[0] += per_cluster[-1]
         per_cluster = per_cluster[:-1]
     deviation = float(np.abs(per_cluster).max())
     return CrossCheckReport(
-        passed=deviation <= tol,
+        passed=deviation <= ALIGN_TOL,
         max_mass_deviation=deviation,
         atoms_exact=exact.atoms,
         atoms_brute=brute.atoms,

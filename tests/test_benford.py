@@ -1,10 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from stickfrag import (
+    MEASURE_LENGTH,
     MEASURE_UNIFORM,
+    ExponentSpec,
+    FixedProportions,
+    SamplerConfig,
     benford_expected,
     benford_report,
     cdf_mod1,
@@ -15,11 +20,17 @@ from stickfrag import (
     ks_to_uniform,
     leading_digit_histogram,
     make_model,
+    proportions_from_exponents,
     rotate_distribution,
+    sample_leaf_residues,
     significand,
     star_discrepancy,
 )
-from stickfrag.enumeration import build_distribution
+from stickfrag.benford import _cumsum_compensated
+from stickfrag.enumeration import _cluster_starts, build_distribution
+
+FIG7 = proportions_from_exponents(ExponentSpec((Fraction(-1, 2), -math.sqrt(2))))
+FIG9 = proportions_from_exponents(ExponentSpec((-math.sqrt(2), Fraction(-1, 3), Fraction(-1, 4))))
 
 
 def dist_of(atoms):
@@ -44,6 +55,23 @@ class TestSignificand:
 
     def test_base_2(self):
         assert significand(12.0, 2) == pytest.approx(1.5, abs=1e-12)
+
+    def test_half_has_digit_five(self):
+        assert significand(0.5) == 5.0
+        assert significand(5.0) == 5.0
+
+    def test_exact_on_representable_digit_powers(self):
+        # every d * base**k that is a double: the significand is d exactly
+        cases = [
+            (d * Fraction(base) ** k, d, base)
+            for base in (2, 3, 7, 10, 16)
+            for k in range(-40, 41)
+            for d in range(1, base)
+        ]
+        cases = [(float(x), d, base) for x, d, base in cases if Fraction(float(x)) == x]
+        assert len(cases) == 1683
+        wrong = [(x, base) for x, d, base in cases if significand(x, base) != d]
+        assert wrong == []
 
     def test_rejects_bad_input(self):
         for bad in (0.0, -1.0, math.inf, math.nan):
@@ -75,6 +103,14 @@ class TestCdf:
         grid = np.linspace(0, 1, 101)
         vals = [cdf_mod1(d, s) for s in grid]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("model,N", [(FIG7, 200), (FIG9, 40)], ids=["fig7", "fig9"])
+    @pytest.mark.parametrize("measure", [MEASURE_UNIFORM, MEASURE_LENGTH])
+    def test_reads_the_compensated_table_at_atoms(self, model, N, measure):
+        d = exact_distribution(model, N, measure=measure)
+        cum = _cumsum_compensated(d.masses)
+        at_atoms = np.array([cdf_mod1(d, r) for r in d.residues.tolist()])
+        assert at_atoms.view(np.int64).tolist() == cum.view(np.int64).tolist()
 
     def test_rejects_out_of_range(self):
         d = dist_of([(0.5, 1.0)])
@@ -197,7 +233,37 @@ class TestReport:
         }
 
 
+def reference_ks_distance(a, b, align_tol=1e-9):
+    """Sup of |CDF_a - CDF_b| from the left and right limits at each cluster of
+    the pooled atoms, each CDF read from its own compensated table."""
+    points = np.sort(np.concatenate([a.residues, b.residues]))
+    starts = np.flatnonzero(_cluster_starts(points, align_tol))
+    ends = np.append(starts[1:], len(points))
+    lo, hi = points[starts], points[ends - 1]
+    cum_a = np.concatenate(([0.0], _cumsum_compensated(a.masses)))
+    cum_b = np.concatenate(([0.0], _cumsum_compensated(b.masses)))
+    right = np.abs(
+        cum_a[np.searchsorted(a.residues, hi, side="right")]
+        - cum_b[np.searchsorted(b.residues, hi, side="right")]
+    )
+    left = np.abs(
+        cum_a[np.searchsorted(a.residues, lo, side="left")]
+        - cum_b[np.searchsorted(b.residues, lo, side="left")]
+    )
+    return float(max(right.max(), left.max()))
+
+
 class TestKsDistance:
+    @pytest.mark.parametrize("model,N", [(FIG7, 1000), (FIG9, 100)], ids=["fig7", "fig9"])
+    def test_matches_reference_on_sampled_vs_exact(self, model, N):
+        exact = exact_distribution(model, N)
+        config = SamplerConfig(seed=11, samples=1 << 17, mode=FixedProportions(model), measure=MEASURE_UNIFORM)
+        _, sampled = sample_leaf_residues(config, N, 10)
+        expected = reference_ks_distance(sampled, exact)
+        assert expected > 0.0
+        assert ks_distance(sampled, exact) == pytest.approx(expected, abs=1e-15)
+        assert ks_distance(exact, sampled) == pytest.approx(expected, abs=1e-15)
+
     def test_identical_is_zero(self):
         d = exact_distribution(make_model([0.3, 0.2]), 15)
         assert ks_distance(d, d) == 0.0

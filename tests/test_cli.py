@@ -142,7 +142,9 @@ class TestBrute:
     def test_guard_exits_3(self, tmp_path):
         cfg = tmp_path / "m.json"
         cfg.write_text(json.dumps({"proportions": [0.5]}))
-        assert run_cli("brute", "--config", str(cfg), "--N", "30").returncode == 3
+        proc = run_cli("brute", "--config", str(cfg), "--N", "30")
+        assert proc.returncode == 3
+        assert "2**30 = 1073741824 leaves exceeds guard 10000000" in proc.stderr.splitlines()
 
     def test_failure_exits_4(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "m.json"

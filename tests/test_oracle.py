@@ -19,6 +19,7 @@ from stickfrag import (
     make_model,
     proportions_from_exponents,
 )
+from stickfrag.enumeration import _cluster_starts
 from stickfrag.model import ExponentSpec
 from stickfrag.oracle import write_exact_residues_csv, write_leaves_csv
 
@@ -252,6 +253,34 @@ class TestCrossCheck:
         N = 17
         peak = traced_peak(lambda: cross_check(ProportionVector((0.3, 0.7)), N, measure=measure))
         assert peak <= 55 * 2**N
+
+    @pytest.mark.parametrize(
+        "model,N",
+        [
+            (ProportionVector((0.3, 0.7)), 19),
+            (proportions_from_exponents(ExponentSpec((Fraction(-1, 2), -math.sqrt(2)))), 11),
+            (proportions_from_exponents(ExponentSpec((-math.sqrt(2), Fraction(-1, 3), Fraction(-1, 4)))), 9),
+        ],
+        ids=["split30", "fig7", "fig9"],
+    )
+    @pytest.mark.parametrize("measure", [MEASURE_UNIFORM, MEASURE_LENGTH])
+    def test_deviation_matches_pooled_tally(self, model, N, measure):
+        # reference: pool exact and brute atoms, stable-sort, chain clusters
+        # within 1e-9, bincount the signed masses, fold the 0/1 wrap
+        exact = exact_distribution(model, N, 10, measure)
+        brute = distribution_from_leaves(brute_force_leaves(model, N), 10, measure)
+        points = np.concatenate([exact.residues, brute.residues])
+        signed = np.concatenate([exact.masses, -brute.masses])
+        order = np.argsort(points, kind="stable")
+        points, signed = points[order], signed[order]
+        per_cluster = np.bincount(np.cumsum(_cluster_starts(points, 1e-9)) - 1, weights=signed)
+        if len(per_cluster) > 1 and (points[0] + 1.0 - points[-1]) <= 1e-9:
+            per_cluster[0] += per_cluster[-1]
+            per_cluster = per_cluster[:-1]
+        expected = float(np.abs(per_cluster).max())
+        rep = cross_check(model, N, measure=measure)
+        assert rep.passed
+        assert rep.max_mass_deviation == expected
 
     def test_brute_distribution_measures(self):
         leaves = brute_force_leaves(make_model([0.25, 0.35]), 5)
