@@ -18,6 +18,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
+import numpy as np
+
 from .errors import ConfigError
 
 # Verdict strings used across the package.
@@ -30,6 +32,26 @@ DEFAULT_TOLERANCE = 1e-13  # see README: must sit below 1/max_denominator**2
 MAX_CF_TERMS = 64  # partial quotients _convergents reads before giving up
 
 Exponent = Union[Fraction, float]
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)  # JSON true is no number
+
+
+def exponent_entry(e) -> Exponent:
+    """One exponent: a Fraction as is, an (a, b) pair of ints with b != 0 as
+    Fraction(a, b), or a finite int or float as a float; TypeError otherwise."""
+    if isinstance(e, Fraction):
+        return e
+    if isinstance(e, tuple) and len(e) == 2 and all(_is_number(v) and isinstance(v, int) for v in e):
+        if e[1] == 0:
+            raise ValueError(f"rational pair {e!r} has a zero denominator")
+        return Fraction(*e)
+    if not _is_number(e):
+        raise TypeError(f"exponent must be a Fraction, an (a, b) pair of ints or a number, got {e!r}")
+    if not math.isfinite(e):
+        raise ValueError(f"exponent {e!r} is not finite")
+    return float(e)
 
 
 @dataclass(frozen=True)
@@ -68,8 +90,8 @@ class ProportionVector:
 class ExponentSpec:
     """Exponents y_1..y_{m-1}, each an exact Fraction or a float, plus a base.
 
-    Rational entries are kept exact so the non-Benford branch can be exercised
-    without floating-point ambiguity.
+    Entries are read by exponent_entry (a Fraction, an (a, b) pair of ints or
+    a finite number); rational ones stay exact, free of float ambiguity.
     """
 
     y: tuple[Exponent, ...]
@@ -80,24 +102,15 @@ class ExponentSpec:
             raise ValueError(f"base must be an integer >= 2, got {self.base!r}")
         if len(self.y) < 1:
             raise ValueError("need at least one exponent")
-        entries = []
-        for e in self.y:
-            if isinstance(e, Fraction):
-                entries.append(e)
-            elif isinstance(e, (int, float)):
-                v = float(e)
-                if not math.isfinite(v):
-                    raise ValueError(f"exponent {e!r} is not finite")
-                entries.append(v)
-            else:
-                raise TypeError(f"exponent must be Fraction or float, got {type(e).__name__}")
+        y = tuple(exponent_entry(e) for e in self.y)
+        for e in y:
             try:
-                ratio = math.pow(self.base, float(entries[-1]))
+                ratio = math.pow(self.base, float(e))
             except OverflowError:
                 ratio = math.inf
             if ratio == 0.0 or not math.isfinite(ratio):
-                raise ValueError(f"ratio base**{entries[-1]} leaves double range")
-        object.__setattr__(self, "y", tuple(entries))
+                raise ValueError(f"ratio base**{e} leaves double range")
+        object.__setattr__(self, "y", y)
 
     @property
     def m(self) -> int:
@@ -159,13 +172,18 @@ def make_model(p: list[float] | tuple[float, ...]) -> ProportionVector:
     return ProportionVector(p + (1.0 - total,))
 
 
-def log_base(x: float, base: int) -> float:
-    """log_base(x) for one positive float: math.log10 for base 10, else log(x)/log(base).
+def log_base(x, base: int):
+    """log_base(x) for a positive float or float array: log10 for base 10, else log(x)/log(base).
 
-    Every scalar log-length in the package goes through here, so sampled and
-    enumerated atoms share their bits.  Array sites use the numpy twin
-    (np.log10 / np.log), which is not guaranteed to round alike.
+    Every log-length in the package goes through here, so sampled and enumerated
+    atoms share their bits; numpy's array logs may round unlike math's.
     """
+    if isinstance(x, np.ndarray):
+        if base == 10:
+            return np.log10(x)
+        out = np.log(x)
+        out /= math.log(base)  # in place: no second array of len(x)
+        return out
     return math.log10(x) if base == 10 else math.log(x) / math.log(base)
 
 
@@ -218,8 +236,6 @@ def _convergents(x: float, max_denominator: int):
             return
         inv = 1.0 / rem
         a = math.floor(inv)
-        if a > max_denominator * 2:  # next denominator certainly past the bound
-            return
         rem = inv - a
         p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
         if q1 > max_denominator:
@@ -286,7 +302,8 @@ def parse_config(data: dict) -> tuple[ProportionVector, ExponentSpec]:
 
     Exactly one of "proportions" (the m-1 free proportions handed to
     make_model) or "exponents" (a list of {"rational": [a, b]} or
-    {"real": x} entries, with optional "base") must be present.
+    {"real": x} entries, with optional "base") must be present.  [a, b] and x are
+    exponent_entry's pair and number forms; booleans, strings and huge ints fail.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -299,37 +316,28 @@ def parse_config(data: dict) -> tuple[ProportionVector, ExponentSpec]:
         raise ConfigError(f'"base" must be an integer >= 2, got {base!r}')
     if has_p:
         raw = data["proportions"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError('"proportions" must be a non-empty list')
+        if not isinstance(raw, list) or not raw or not all(_is_number(x) for x in raw):
+            raise ConfigError('"proportions" must be a non-empty list of numbers')
         try:
-            model = make_model([float(x) for x in raw])
-        except (TypeError, ValueError) as exc:
+            model = make_model(raw)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad proportions: {exc}") from exc
         return model, exponents_from_proportions(model, base)
     raw = data["exponents"]
     if not isinstance(raw, list) or not raw:
         raise ConfigError('"exponents" must be a non-empty list')
-    entries: list[Exponent] = []
+    entries = []
     for item in raw:
-        if isinstance(item, dict) and set(item) == {"rational"}:
-            pair = item["rational"]
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ConfigError(f'"rational" entry must be [numerator, denominator], got {pair!r}')
-            a, b = pair
-            if not isinstance(a, int) or not isinstance(b, int) or b == 0:
-                raise ConfigError(f"bad rational pair {pair!r}")
-            entries.append(Fraction(a, b))
+        if isinstance(item, dict) and set(item) == {"rational"} and isinstance(item["rational"], list):
+            entries.append(tuple(item["rational"]))
         elif isinstance(item, dict) and set(item) == {"real"}:
-            v = item["real"]
-            if not isinstance(v, (int, float)):
-                raise ConfigError(f'"real" entry must be a number, got {v!r}')
-            entries.append(float(v))
+            entries.append(item["real"])
         else:
             raise ConfigError(f"exponent entry must be {{'rational': [a, b]}} or {{'real': x}}, got {item!r}")
     try:
         spec = ExponentSpec(tuple(entries), base)
         model = proportions_from_exponents(spec)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad exponents: {exc}") from exc
     return model, spec
 

@@ -15,7 +15,6 @@ not depend on how many workers consumed the chunks.  Generator: numpy PCG64.
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -106,7 +105,7 @@ def _sample_chunk(config: SamplerConfig, N: int, base: int, chunk_index: int, n:
                 u = rng.random(n)
                 idx = np.minimum((P.cumsum(axis=1) < u[:, None]).sum(axis=1), m - 1)
             chosen = P.ravel()[idx + rows]
-            total += np.log10(chosen) if base == 10 else np.log(chosen) / math.log(base)
+            total += log_base(chosen, base)
     return _frac(total)
 
 

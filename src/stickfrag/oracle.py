@@ -32,7 +32,7 @@ from .enumeration import (
     _write_indexed_csv,
 )
 from .errors import ResourceLimitError
-from .model import ProportionVector
+from .model import ProportionVector, exponent_entry, log_base
 
 BRUTE_FORCE_GUARD = 10**7
 
@@ -109,12 +109,8 @@ def brute_force_leaves(model: ProportionVector, N: int) -> LeafList:
 
 def _rational_pairs(y) -> list[tuple[int, int]]:
     pairs = []
-    for entry in y:
-        if isinstance(entry, tuple) and len(entry) == 2:
-            if not all(isinstance(v, int) for v in entry) or entry[1] == 0:
-                raise ValueError(f"bad rational pair {entry!r}")
-            entry = Fraction(*entry)
-        elif not isinstance(entry, Fraction):
+    for entry in map(exponent_entry, y):
+        if not isinstance(entry, Fraction):
             raise ValueError(f"exponent {entry!r} is not an exact rational")
         pairs.append((entry.numerator, entry.denominator))
     return pairs
@@ -131,7 +127,7 @@ def _class_shifts(pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
 def exact_residues_rational(y, N: int, base_offset: float = 0.0) -> ExactResidueSet:
     """Distinct residues of sum_i s_i * a_i/b_i mod 1 over all stage-N sticks.
 
-    y is the list of exact rational exponents (Fractions or (a, b) pairs).
+    y holds exact rationals in exponent_entry's forms (Fraction or (a, b)); a number raises ValueError.
     The classes u/L reachable in n cuts are walked breadth-first from 0, one
     layer per cut of the _class_shifts; the last child's shift is 0, so the
     layers only grow and the walk ends after N layers or at the first that
@@ -219,11 +215,7 @@ def distribution_from_leaves(
     """Tally brute-force leaves into a weighted mod-1 distribution."""
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
-    if base == 10:
-        residues = np.log10(leaves.lengths)
-    else:
-        residues = np.log(leaves.lengths)
-        residues /= math.log(base)
+    residues = log_base(leaves.lengths, base)
     _frac(residues)
     # read-only weights, as the merge only gathers from them: one value
     # broadcast for the uniform measure (merged by a value sort), the leaf

@@ -66,10 +66,27 @@ class TestClassify:
         assert out["prediction"] == "NonBenford"
         assert out["exponents"][0]["value"] == 0.0
 
-    def test_invalid_config_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"nope": 1}',
+            '{"exponents": [{"rational": [true, 3]}]}',
+            '{"exponents": [{"real": true}]}',
+            '{"proportions": [0.3, true]}',
+            '{"proportions": ["0.3"]}',
+            '{"exponents": [{"real": 1%s}]}' % ("0" * 400),
+            '{"proportions": [1%s]}' % ("0" * 400),
+        ],
+        ids=["no-model-key", "rational-bool", "real-bool", "proportion-bool",
+             "proportion-string", "real-huge-int", "proportion-huge-int"],
+    )
+    def test_invalid_config_exits_2(self, tmp_path, text):
         cfg = tmp_path / "bad.json"
-        cfg.write_text('{"nope": 1}')
-        assert run_cli("classify", "--config", str(cfg)).returncode == 2
+        cfg.write_text(text)
+        proc = run_cli("classify", "--config", str(cfg))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "config error:" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("classify", "--config", str(tmp_path / "nope.json")).returncode == 2
@@ -121,6 +138,26 @@ class TestAnalyze:
         assert "scale invariance check" in proc.stderr
         report = json.loads(proc.stdout)
         assert report["verdict"] == "Inconsistent"
+
+    def test_base_flag_matches_config_base(self, tmp_path):
+        plain, based = tmp_path / "plain.json", tmp_path / "based.json"
+        plain.write_text(json.dumps({"proportions": [0.3, 0.3]}))
+        based.write_text(json.dumps({"proportions": [0.3, 0.3], "base": 7}))
+        a, b = tmp_path / "flag", tmp_path / "config"
+        assert run_cli("analyze", "--config", str(plain), "--N", "40", "--out", str(a), "--base", "7").returncode == 0
+        assert run_cli("analyze", "--config", str(based), "--N", "40", "--out", str(b)).returncode == 0
+        for name in ("report.json", "distribution.csv", "digits.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert len((a / "digits.csv").read_text().splitlines()) == 7  # header + digits 1..6
+
+    def test_config_base_wins_over_flag(self, tmp_path):
+        cfg = tmp_path / "based.json"
+        cfg.write_text(json.dumps({"proportions": [0.3, 0.3], "base": 7}))
+        a, b = tmp_path / "noflag", tmp_path / "flag5"
+        assert run_cli("analyze", "--config", str(cfg), "--N", "40", "--out", str(a)).returncode == 0
+        assert run_cli("analyze", "--config", str(cfg), "--N", "40", "--out", str(b), "--base", "5").returncode == 0
+        for name in ("report.json", "distribution.csv", "digits.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_threads_flag_canonical(self, fig7_config, tmp_path):
         a, b = tmp_path / "t1", tmp_path / "t2"

@@ -99,6 +99,17 @@ class TestExponents:
         with pytest.raises(ValueError):
             ExponentSpec((400.0,))
 
+    def test_entry_forms(self):
+        spec = ExponentSpec((Fraction(-1, 3), (-2, 4), 2, -0.5))
+        assert spec.y == (Fraction(-1, 3), Fraction(-1, 2), 2.0, -0.5)
+        assert [type(e) for e in spec.y] == [Fraction, Fraction, float, float]
+        for bad in [True, (True, 3), (1.0, 2), "0.5", [1, 3]]:
+            with pytest.raises(TypeError):
+                ExponentSpec((bad,))
+        for bad in [(1, 0), math.inf, math.nan]:
+            with pytest.raises(ValueError):
+                ExponentSpec((bad,))
+
 
 class TestClassifyRationality:
     def test_exact_rational_entry(self):
@@ -209,6 +220,17 @@ class TestConfig:
             parse_config({"exponents": [{"weird": 1}]})
         with pytest.raises(ConfigError):
             parse_config({"exponents": [{"real": 0.1}], "base": 1})
+        huge = 10**400  # an int beyond double range
+        for bad in [
+            {"exponents": [{"rational": [True, 3]}]},
+            {"exponents": [{"real": True}]},
+            {"proportions": [0.3, True]},
+            {"proportions": ["0.3"]},
+            {"exponents": [{"real": huge}]},
+            {"proportions": [huge]},
+        ]:
+            with pytest.raises(ConfigError):
+                parse_config(bad)
 
     def test_json_round_trip(self, tmp_path):
         cfg = tmp_path / "m.json"

@@ -156,6 +156,10 @@ class TestExactResidues:
     def test_rejects_non_rational(self):
         with pytest.raises(ValueError):
             exact_residues_rational([0.5], 3)
+        with pytest.raises(ValueError):
+            exact_residues_rational([(1, 0)], 3)
+        with pytest.raises(TypeError):
+            exact_residues_rational([(True, 2)], 3)
 
     def test_offset_carried(self):
         res = exact_residues_rational([(1, 2)], 3, base_offset=2.25)
