@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -60,10 +61,6 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _config_sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _load_model(args: argparse.Namespace):
     """Parse the config file; --base applies only when the file has no base."""
     raw = read_config(args.config)
@@ -73,20 +70,29 @@ def _load_model(args: argparse.Namespace):
     return model, spec, raw
 
 
-def _write_manifest(out_dir: Path, args: argparse.Namespace, outputs: list[str]) -> None:
+def _write_outputs(args: argparse.Namespace, report, writers: dict) -> int:
+    """Write writers' files (name -> write(path)), report.json and manifest.json to --out; print the report."""
+    text = json.dumps(report.to_json_dict(), indent=2)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, write in writers.items():
+        write(out_dir / name)
+    (out_dir / "report.json").write_text(text + "\n")
+    outputs = ["report.json", *writers]
     manifest = {
         "command": " ".join(args.command_echo),
-        "config_sha256": _config_sha256(args.config),
+        "config_sha256": hashlib.sha256(Path(args.config).read_bytes()).hexdigest(),
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": outputs,
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     for name in outputs:
         target = out_dir / name
         if not target.exists() or target.stat().st_size == 0:
             raise RuntimeError(f"declared output {name} missing or empty")
+    print(text)
+    return EXIT_OK
 
 
 def _classification_dict(spec, classification) -> dict:
@@ -139,14 +145,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             return EXIT_VERIFY
         dist = rotated
     report = benford_report(dist, base, args.ks_threshold)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_distribution_csv(dist, out_dir / "distribution.csv")
-    write_digits_csv(report.leading_digit_freqs, base, out_dir / "digits.csv")
-    (out_dir / "report.json").write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
-    _write_manifest(out_dir, args, ["report.json", "distribution.csv", "digits.csv"])
-    _emit(report.to_json_dict())
-    return EXIT_OK
+    return _write_outputs(args, report, {
+        "distribution.csv": partial(write_distribution_csv, dist),
+        "digits.csv": partial(write_digits_csv, report.leading_digit_freqs, base),
+    })
 
 
 def cmd_brute(args: argparse.Namespace) -> int:
@@ -167,14 +169,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _log(f"sampling {args.samples} paths of length {args.N} (seed {args.seed})")
     residues, dist = sample_leaf_residues(config, args.N, spec.base, tasks=args.threads)
     report = benford_report(dist, spec.base, args.ks_threshold)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_samples_csv(residues, out_dir / "samples.csv")
-    write_metadata_json(config, args.N, spec.base, raw_config, out_dir / "metadata.json")
-    (out_dir / "report.json").write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
-    _write_manifest(out_dir, args, ["report.json", "samples.csv", "metadata.json"])
-    _emit(report.to_json_dict())
-    return EXIT_OK
+    return _write_outputs(args, report, {
+        "samples.csv": partial(write_samples_csv, residues),
+        "metadata.json": partial(write_metadata_json, config, args.N, spec.base, raw_config),
+    })
 
 
 def _int_in(lo: int, hi: int | None = None):
@@ -197,6 +195,16 @@ def _positive_finite_float(text: str) -> float:
     return value
 
 
+def _out_dir(text: str) -> str:
+    """argparse type: a path whose nearest existing ancestor is a directory (a dangling link is not)."""
+    path = Path(text).absolute()
+    while not (path.exists() or path.is_symlink()):
+        path = path.parent
+    if not path.is_dir():
+        raise argparse.ArgumentTypeError(f"{path} is not a directory")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stickfrag",
@@ -204,43 +212,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_command(name: str, text: str, func) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
         p.add_argument("--config", required=True, help="model configuration JSON file")
         p.add_argument("--base", type=int, default=10, help="significand base (config file wins)")
+        return p
 
-    p_classify = sub.add_parser("classify", help="rationality verdicts and Benford prediction")
-    add_common(p_classify)
+    p_classify = add_command("classify", "rationality verdicts and Benford prediction", cmd_classify)
     p_classify.add_argument("--max-denominator", type=_int_in(1), default=DEFAULT_MAX_DENOMINATOR)
     p_classify.add_argument("--tolerance", type=_positive_finite_float, default=DEFAULT_TOLERANCE)
-    p_classify.set_defaults(func=cmd_classify)
 
-    p_analyze = sub.add_parser("analyze", help="exact distribution, metrics, CSV/JSON outputs")
-    add_common(p_analyze)
-    p_analyze.add_argument("--N", type=_int_in(0), required=True, help="number of fragmentation stages")
-    p_analyze.add_argument("--measure", choices=MEASURES, default=MEASURE_UNIFORM)
-    p_analyze.add_argument("--out", required=True, help="output directory for this run")
+    p_analyze = add_command("analyze", "exact distribution, metrics, CSV/JSON outputs", cmd_analyze)
+    p_brute = add_command("brute", "cross-check enumeration against brute force", cmd_brute)
+    p_sim = add_command("simulate", "Monte Carlo path sampling", cmd_simulate)
+    for p in (p_analyze, p_brute, p_sim):
+        p.add_argument("--N", type=_int_in(0), required=True, help="number of fragmentation stages")
+        p.add_argument("--measure", choices=MEASURES, default=MEASURE_UNIFORM)
+
+    p_analyze.add_argument("--out", type=_out_dir, required=True, help="output directory for this run")
     p_analyze.add_argument("--cap", type=_int_in(1), default=DEFAULT_CAP, help="composition-count guard")
     p_analyze.add_argument("--threads", type=_int_in(1), default=1, help="accepted; enumeration runs single-threaded")
     p_analyze.add_argument("--ks-threshold", type=_positive_finite_float, default=DEFAULT_KS_THRESHOLD)
     p_analyze.add_argument("--length", type=_positive_finite_float, default=1.0, help="initial stick length L")
-    p_analyze.set_defaults(func=cmd_analyze)
 
-    p_brute = sub.add_parser("brute", help="cross-check enumeration against brute force")
-    add_common(p_brute)
-    p_brute.add_argument("--N", type=_int_in(0), required=True)
-    p_brute.add_argument("--measure", choices=MEASURES, default=MEASURE_UNIFORM)
-    p_brute.set_defaults(func=cmd_brute)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo path sampling")
-    add_common(p_sim)
-    p_sim.add_argument("--N", type=_int_in(0), required=True)
-    p_sim.add_argument("--measure", choices=MEASURES, default=MEASURE_UNIFORM)
     p_sim.add_argument("--samples", type=_int_in(1), required=True)
     p_sim.add_argument("--seed", type=_int_in(0, 2**64), required=True)
-    p_sim.add_argument("--out", required=True)
+    p_sim.add_argument("--out", type=_out_dir, required=True)
     p_sim.add_argument("--threads", type=_int_in(1), default=1)
     p_sim.add_argument("--ks-threshold", type=_positive_finite_float, default=DEFAULT_KS_THRESHOLD)
-    p_sim.set_defaults(func=cmd_simulate)
 
     return parser
 

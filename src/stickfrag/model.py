@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from typing import Union
 
@@ -54,6 +55,17 @@ def exponent_entry(e) -> Exponent:
     return float(e)
 
 
+def _ratio(base: int, y: Exponent) -> float:
+    """base**y as a float; ValueError when it overflows or underflows to 0."""
+    try:
+        ratio = math.pow(base, y)
+    except OverflowError:
+        ratio = math.inf
+    if ratio == 0.0 or not math.isfinite(ratio):
+        raise ValueError(f"ratio base**{y} leaves double range")
+    return ratio
+
+
 @dataclass(frozen=True)
 class ProportionVector:
     """Fixed split proportions p1..pm, each in (0,1), summing to 1.
@@ -69,7 +81,7 @@ class ProportionVector:
         if len(p) < 2:
             raise ValueError(f"need at least 2 proportions, got {len(p)}")
         for x in p:
-            if not (0.0 < x < 1.0) or not math.isfinite(x):
+            if not (0.0 < x < 1.0):  # also refuses nan and inf
                 raise ValueError(f"proportion {x} outside (0, 1)")
         total = math.fsum(p)
         if abs(total - 1.0) > NORMALIZATION_SLACK:
@@ -104,12 +116,7 @@ class ExponentSpec:
             raise ValueError("need at least one exponent")
         y = tuple(exponent_entry(e) for e in self.y)
         for e in y:
-            try:
-                ratio = math.pow(self.base, float(e))
-            except OverflowError:
-                ratio = math.inf
-            if ratio == 0.0 or not math.isfinite(ratio):
-                raise ValueError(f"ratio base**{e} leaves double range")
+            _ratio(self.base, e)  # raises when base**e leaves double range
         object.__setattr__(self, "y", y)
 
     @property
@@ -158,14 +165,12 @@ class ExponentClassification:
 def make_model(p: list[float] | tuple[float, ...]) -> ProportionVector:
     """Build the full m-vector from the m-1 free proportions.
 
-    The last proportion is forced: pm = 1 - sum(p).
+    The last proportion is forced: pm = 1 - sum(p).  This refuses an empty
+    list and a sum >= 1; ProportionVector refuses any entry outside (0, 1).
     """
     p = tuple(float(x) for x in p)
     if len(p) < 1:
         raise ValueError("need at least one free proportion")
-    for x in p:
-        if not (0.0 < x < 1.0):
-            raise ValueError(f"proportion {x} outside (0, 1)")
     total = math.fsum(p)
     if total >= 1.0:
         raise ValueError(f"free proportions sum to {total}, must be < 1")
@@ -201,19 +206,7 @@ def proportions_from_exponents(spec: ExponentSpec) -> ProportionVector:
     With t_i = base**(y_i + ... + y_{m-1}), the unique normalized solution is
     pm = 1/(1 + sum t_i) and p_i = t_i * pm.
     """
-    vals = spec.values()
-    t = []
-    suffix = 0.0
-    for yv in reversed(vals):
-        suffix += yv
-        try:
-            ti = math.pow(spec.base, suffix)
-        except OverflowError:
-            ti = math.inf
-        if ti == 0.0 or not math.isfinite(ti):
-            raise ValueError(f"ratio base**{suffix} leaves double range")
-        t.append(ti)
-    t.reverse()
+    t = [_ratio(spec.base, suffix) for suffix in accumulate(reversed(spec.values()))][::-1]
     pm = 1.0 / (1.0 + math.fsum(t))
     if pm == 0.0 or not math.isfinite(pm):
         raise ValueError("exponents produce proportions outside double range")
@@ -304,6 +297,13 @@ def parse_config(data: dict) -> tuple[ProportionVector, ExponentSpec]:
     make_model) or "exponents" (a list of {"rational": [a, b]} or
     {"real": x} entries, with optional "base") must be present.  [a, b] and x are
     exponent_entry's pair and number forms; booleans, strings and huge ints fail.
+
+    Only the JSON shape is checked here.  The values are judged where they are
+    used, and a refusal there surfaces as ConfigError: make_model refuses an
+    empty list or a sum >= 1, ProportionVector a proportion outside (0, 1),
+    exponents_from_proportions and ExponentSpec the base, ExponentSpec an entry,
+    an empty list or base**y out of double range, and proportions_from_exponents
+    that range on the suffix sums base**(y_i + ... + y_{m-1}).
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -312,20 +312,18 @@ def parse_config(data: dict) -> tuple[ProportionVector, ExponentSpec]:
     if has_p == has_y:
         raise ConfigError('config must contain exactly one of "proportions" or "exponents"')
     base = data.get("base", 10)
-    if not isinstance(base, int) or base < 2:
-        raise ConfigError(f'"base" must be an integer >= 2, got {base!r}')
     if has_p:
         raw = data["proportions"]
-        if not isinstance(raw, list) or not raw or not all(_is_number(x) for x in raw):
-            raise ConfigError('"proportions" must be a non-empty list of numbers')
+        if not isinstance(raw, list) or not all(_is_number(x) for x in raw):
+            raise ConfigError('"proportions" must be a list of numbers')
         try:
             model = make_model(raw)
+            return model, exponents_from_proportions(model, base)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad proportions: {exc}") from exc
-        return model, exponents_from_proportions(model, base)
     raw = data["exponents"]
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError('"exponents" must be a non-empty list')
+    if not isinstance(raw, list):
+        raise ConfigError('"exponents" must be a list')
     entries = []
     for item in raw:
         if isinstance(item, dict) and set(item) == {"rational"} and isinstance(item["rational"], list):

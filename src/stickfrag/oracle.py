@@ -27,6 +27,7 @@ from .enumeration import (
     WeightedMod1Distribution,
     _cluster_differences,
     build_distribution,
+    composition_count,
     exact_distribution,
     _frac,
     _write_indexed_csv,
@@ -191,7 +192,7 @@ def exact_residue_distribution(
         raise ValueError(f"{len(pairs)} exponents need m={m}, model has m={model.m}")
     if N < 0:
         raise ValueError(f"need N >= 0, got {N}")
-    if math.comb(N + m - 1, m - 1) > cap:
+    if composition_count(N, m) > cap:
         raise ResourceLimitError(f"composition count exceeds cap {cap}")
     lcm, shifts = _class_shifts(pairs)
     q, total = ([1] * m, m**N) if measure == MEASURE_UNIFORM else (list(model.p), 1)

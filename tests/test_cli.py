@@ -101,6 +101,7 @@ class TestAnalyze:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert set(report) == REPORT_KEYS
+        assert proc.stdout == (out_dir / "report.json").read_text()
         assert report["distinct_residues"] == 6
         assert report["verdict"] == "Inconsistent"
         for name in ("report.json", "distribution.csv", "digits.csv", "manifest.json"):
@@ -206,6 +207,7 @@ class TestSimulate:
         proc = run_cli(*args, "--out", str(a))
         assert proc.returncode == 0
         assert set(json.loads(proc.stdout)) == REPORT_KEYS
+        assert proc.stdout == (a / "report.json").read_text()
         run_cli(*args, "--out", str(b))
         for name in ("samples.csv", "report.json", "metadata.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
@@ -262,6 +264,31 @@ class TestBadFlags:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--N", "5"],
+    ["simulate", "--N", "5", "--samples", "10", "--seed", "1"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+def test_out_naming_a_file_exits_2(fig3_config, tmp_path, command, sub):
+    # --out F or F/sub, where F is a file, is refused by the parser before any work
+    blocker = tmp_path / "F"
+    blocker.write_text("keep me\n")
+    proc = run_cli(*command, "--config", str(fig3_config), "--out", str(blocker / sub))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert blocker.read_text() == "keep me\n"
+
+
+def test_out_naming_a_dangling_link_exits_2(fig3_config, tmp_path):
+    link = tmp_path / "L"
+    link.symlink_to(tmp_path / "missing" / "x")
+    proc = run_cli("analyze", "--N", "5", "--config", str(fig3_config), "--out", str(link))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert link.is_symlink() and not (tmp_path / "missing").exists()
 
 
 def test_benchmark_tracing_hooks_attach():

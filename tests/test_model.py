@@ -38,6 +38,9 @@ class TestMakeModel:
             make_model([1.0])
         with pytest.raises(ValueError):
             make_model([-0.2, 0.5])
+        for bad in [[1.5], [math.nan], [math.inf]]:
+            with pytest.raises(ValueError):
+                make_model(bad)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -98,6 +101,14 @@ class TestExponents:
     def test_overflowing_exponent_rejected(self):
         with pytest.raises(ValueError):
             ExponentSpec((400.0,))
+        # each 10**200 fits a double, the suffix sum's 10**400 does not
+        with pytest.raises(ValueError):
+            proportions_from_exponents(ExponentSpec((200.0, 200.0)))
+
+    @pytest.mark.parametrize("base", [1, 0, 2.5])
+    def test_bad_base_rejected_before_logs(self, base):
+        with pytest.raises(ValueError):
+            exponents_from_proportions(make_model([0.5]), base)
 
     def test_entry_forms(self):
         spec = ExponentSpec((Fraction(-1, 3), (-2, 4), 2, -0.5))
@@ -228,6 +239,10 @@ class TestConfig:
             {"proportions": ["0.3"]},
             {"exponents": [{"real": huge}]},
             {"proportions": [huge]},
+            *({"proportions": [0.3], "base": base} for base in [1, 0, 10.0, True, "10"]),
+            {"proportions": []},
+            {"exponents": []},
+            {"exponents": [{"real": 200.0}, {"real": 200.0}]},  # suffix sum 400 overflows
         ]:
             with pytest.raises(ConfigError):
                 parse_config(bad)
