@@ -207,9 +207,10 @@ def proportions_from_exponents(spec: ExponentSpec) -> ProportionVector:
     pm = 1/(1 + sum t_i) and p_i = t_i * pm.
     """
     t = [_ratio(spec.base, suffix) for suffix in accumulate(reversed(spec.values()))][::-1]
-    pm = 1.0 / (1.0 + math.fsum(t))
-    if pm == 0.0 or not math.isfinite(pm):
-        raise ValueError("exponents produce proportions outside double range")
+    try:
+        pm = 1.0 / (1.0 + math.fsum(t))  # >= 5.6e-309 whenever the sum is finite
+    except OverflowError:
+        raise ValueError("exponents produce proportions outside double range") from None
     return ProportionVector(tuple(ti * pm for ti in t) + (pm,))
 
 

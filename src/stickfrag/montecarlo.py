@@ -15,6 +15,8 @@ not depend on how many workers consumed the chunks.  Generator: numpy PCG64.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,8 +54,8 @@ class RandomProportions:
             raise ValueError(f"need m >= 2, got {self.m}")
         if len(self.concentration) != self.m:
             raise ValueError("need one concentration parameter per part")
-        if any(not (c > 0) for c in self.concentration):
-            raise ValueError("concentration parameters must be positive")
+        if not all(0 < c < math.inf for c in self.concentration):  # also refuses nan
+            raise ValueError("concentration parameters must be finite and positive")
 
 
 Mode = Union[FixedProportions, RandomProportions]
@@ -67,6 +69,10 @@ class SamplerConfig:
     measure: str = MEASURE_UNIFORM
 
     def __post_init__(self):
+        for name in ("seed", "samples"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.samples < 1:
             raise ValueError("need samples >= 1")
         if not (0 <= self.seed < 2**64):

@@ -27,7 +27,6 @@ from .enumeration import (
     WeightedMod1Distribution,
     _cluster_differences,
     build_distribution,
-    composition_count,
     exact_distribution,
     _frac,
     _write_indexed_csv,
@@ -36,6 +35,10 @@ from .errors import ResourceLimitError
 from .model import ProportionVector, exponent_entry, log_base
 
 BRUTE_FORCE_GUARD = 10**7
+# exact_residue_distribution's limit on its work estimate (see there): it
+# accepts fig3-fig6 at N=10^5, and length calls at the limit take 1.4-4.3 s
+# on 2 vCPU (uniform counts of 8-16 words run slower, see README)
+_POWERING_WORK_LIMIT = 3 * 10**10
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,6 @@ def exact_residue_distribution(
     N: int,
     model: ProportionVector,
     measure: str = MEASURE_UNIFORM,
-    cap: int = 10**6,
 ) -> list[tuple[Fraction, float]]:
     """Mass carried by each exact residue class, by powering the one-step law on Z_L.
 
@@ -180,9 +182,16 @@ def exact_residue_distribution(
     R[x]/(x^L - 1), computed by binary powering.
     Uniform: q_j = 1, the coefficients are exact multinomial counts in
     Python ints, divided by m^N once.  Length: q_j = p_j, in floats.  Rows
-    are the classes with non-zero mass, ascending.  cap still bounds the
-    composition count C(N+m-1, m-1), as in exact_distribution, not the
-    work: the powering costs O(L^2 log N) coefficient products.
+    are the classes with non-zero mass, ascending; a length row whose float
+    mass underflows to 0 is left out (y = (1/4001,) at N=8000 gives 3,379
+    rows for 4,001 classes).
+
+    The powering takes about log2(N+1) products of L^2 multiply-adds each.
+    Before any of them, ResourceLimitError refuses a call whose work
+    L^2 * ceil(log2(N+1)) * w exceeds _POWERING_WORK_LIMIT, where w = 256
+    for float multiply-adds (length) and w = max(256, W^2) for the counts
+    (uniform), W = ceil(N log2(m) / 64) being their size in 64-bit words.
+    The counts take 8 L W bytes, at most 8 sqrt(limit).
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
@@ -192,9 +201,14 @@ def exact_residue_distribution(
         raise ValueError(f"{len(pairs)} exponents need m={m}, model has m={model.m}")
     if N < 0:
         raise ValueError(f"need N >= 0, got {N}")
-    if composition_count(N, m) > cap:
-        raise ResourceLimitError(f"composition count exceeds cap {cap}")
     lcm, shifts = _class_shifts(pairs)
+    words = math.ceil(N * math.log2(m) / 64) if measure == MEASURE_UNIFORM else 0
+    work = lcm**2 * math.ceil(math.log2(N + 1)) * max(256, words**2)
+    if work > _POWERING_WORK_LIMIT:
+        raise ResourceLimitError(
+            f"residue powering work estimate {work:.3g} (L={lcm}, N={N}, {measure}) "
+            f"exceeds the limit {_POWERING_WORK_LIMIT:.3g}"
+        )
     q, total = ([1] * m, m**N) if measure == MEASURE_UNIFORM else (list(model.p), 1)
     step = [0] * lcm
     for u, qj in zip(shifts, q):

@@ -208,6 +208,19 @@ class TestLeadingDigits:
         assert len(freqs) == 1 and freqs[0] == 1.0
 
 
+@pytest.mark.parametrize(
+    "call,fragment",
+    [
+        (lambda: chi2_vs_benford(np.full(8, 1 / 8)), "need 9 digit frequencies, got 8"),
+        (lambda: leading_digit_histogram(dist_of([(0.0, 1.0)]), base=1), "base must be an integer >= 2"),
+    ],
+    ids=["chi2-length", "histogram-base"],
+)
+def test_argument_checks(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
 class TestVerdict:
     def test_below_threshold(self):
         assert empirical_verdict(0.005, 0.02) == "ConsistentWithBenford"

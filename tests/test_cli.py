@@ -88,6 +88,13 @@ class TestClassify:
         assert proc.stdout == ""
         assert "config error:" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_overflowing_suffix_sum_exits_2(self, tmp_path):
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps({"exponents": [{"real": 0.0}, {"real": 308.0}]}))
+        proc = run_cli("classify", "--config", str(cfg))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "config error: bad exponents: exponents produce proportions outside double range\n"
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("classify", "--config", str(tmp_path / "nope.json")).returncode == 2
 

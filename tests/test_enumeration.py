@@ -353,6 +353,36 @@ class TestDistributionValidation:
             WeightedMod1Distribution(np.array(residues), np.array(masses), MEASURE_UNIFORM, 1, 2)
 
 
+MODEL3 = make_model([0.3, 0.3])
+
+
+def atoms(residues, masses, measure=MEASURE_UNIFORM):
+    return WeightedMod1Distribution(np.array(residues), np.array(masses), measure, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "call,fragment",
+    [
+        (lambda: exact_distribution(MODEL3, 3, 10, "lenght"), "unknown measure"),
+        (lambda: exact_distribution(MODEL3, -1), "need N >= 0"),
+        (lambda: exact_distribution(MODEL3, 3, threads=0), "threads must be >= 1"),
+        (lambda: atoms([0.1, 0.2], [1.0]), "equal-length"),
+        (lambda: atoms([0.2, 0.1], [0.5, 0.5]), "strictly ascending"),
+        (lambda: atoms([0.1, 0.2], [1.5, -0.5]), "nonnegative"),
+        (lambda: atoms([0.1, 0.2], [0.5, 0.6]), "not 1 within"),
+        (lambda: atoms([0.1, 0.2], [0.5, 0.5], "lenght"), "unknown measure"),
+        (lambda: distribution_from_residues(np.array([]), MEASURE_UNIFORM, 1, 2), "at least one residue"),
+    ],
+    ids=[
+        "exact-measure", "exact-negative-n", "exact-threads", "dist-shapes", "dist-unsorted",
+        "dist-negative-mass", "dist-sum", "dist-measure", "residues-empty",
+    ],
+)
+def test_argument_checks(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
 CLUSTER_LENS = [
     [7] * 300 + [3] * 200 + [40] * 50,  # many clusters share a length
     list(range(1, 300)),  # every length distinct

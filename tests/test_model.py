@@ -10,6 +10,7 @@ from stickfrag import (
     NON_BENFORD,
     ConfigError,
     ExponentSpec,
+    ExponentVerdict,
     ProportionVector,
     classify_rationality,
     exponents_from_proportions,
@@ -104,6 +105,12 @@ class TestExponents:
         # each 10**200 fits a double, the suffix sum's 10**400 does not
         with pytest.raises(ValueError):
             proportions_from_exponents(ExponentSpec((200.0, 200.0)))
+
+    def test_suffix_sum_overflowing_fsum_rejected(self):
+        # 10**308 twice fits a double each, their sum does not: fsum raised
+        # OverflowError("intermediate overflow in fsum") before
+        with pytest.raises(ValueError, match="outside double range"):
+            proportions_from_exponents(ExponentSpec((0.0, 308.0)))
 
     @pytest.mark.parametrize("base", [1, 0, 2.5])
     def test_bad_base_rejected_before_logs(self, base):
@@ -264,3 +271,22 @@ class TestConfig:
         bad.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(bad)
+
+
+def rational_verdict(numerator, denominator):
+    return ExponentVerdict(True, numerator, denominator, numerator, max(denominator, 1), 0.0, 10, 1e-13)
+
+
+@pytest.mark.parametrize(
+    "call,exc,fragment",
+    [
+        (lambda: rational_verdict(1, 0), ValueError, "positive denominator"),
+        (lambda: rational_verdict(2, 4), ValueError, "lowest terms"),
+        (lambda: parse_config([{"proportions": [0.5]}]), ConfigError, "must be a JSON object"),
+        (lambda: parse_config({"exponents": {"real": 0.5}}), ConfigError, '"exponents" must be a list'),
+    ],
+    ids=["verdict-zero-denominator", "verdict-not-lowest", "config-not-object", "config-exponents-not-list"],
+)
+def test_argument_checks(call, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        call()

@@ -202,6 +202,12 @@ class TestRandomProportions:
         with pytest.raises(ValueError):
             RandomProportions(2, (1.0, -1.0))
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_non_finite_concentration_refused(self, c):
+        # inf used to pass and fail only after a full sampling run
+        with pytest.raises(ValueError, match="finite and positive"):
+            RandomProportions(2, (1.0, c))
+
 
 class TestConfigValidation:
     def test_bad_samples(self):
@@ -212,11 +218,41 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SamplerConfig(seed=-1, samples=10, mode=FixedProportions(make_model([0.5])))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("samples", True), ("samples", 10.0), ("seed", 1.5), ("seed", False), ("seed", np.bool_(True))],
+    )
+    def test_non_integer_seed_or_samples_refused(self, field, value):
+        # samples=True used to sample one path; seed=1.5 failed inside numpy
+        kwargs = {"seed": 1, "samples": 10, field: value}
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            SamplerConfig(mode=FixedProportions(make_model([0.5])), **kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SamplerConfig(seed=np.uint64(7), samples=np.int32(100), mode=FixedProportions(make_model([0.5])))
+        a, _ = sample_leaf_residues(cfg, 3)
+        b, _ = sample_leaf_residues(fixed(make_model([0.5]), seed=7, samples=100), 3)
+        assert np.array_equal(a, b)
+
     def test_bad_measure(self):
         with pytest.raises(ValueError):
             SamplerConfig(
                 seed=1, samples=10, mode=FixedProportions(make_model([0.5])), measure="bogus"
             )
+
+
+@pytest.mark.parametrize(
+    "call,exc,fragment",
+    [
+        (lambda: sample_leaf_residues(fixed(make_model([0.5])), -1), ValueError, "need N >= 0"),
+        (lambda: sample_leaf_residues(fixed(make_model([0.5])), 3, tasks=0), ValueError, "tasks must be >= 1"),
+        (lambda: SamplerConfig(seed=1, samples=10, mode=make_model([0.5])), TypeError, "mode must be"),
+    ],
+    ids=["negative-n", "tasks", "foreign-mode"],
+)
+def test_argument_checks(call, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        call()
 
 
 class TestDumps:

@@ -18,10 +18,12 @@ from stickfrag import (
     exact_residues_rational,
     make_model,
     proportions_from_exponents,
+    rotate_distribution,
 )
-from stickfrag.enumeration import _cluster_starts
+from stickfrag import oracle
+from stickfrag.enumeration import ALIGN_TOL, _cluster_differences, _cluster_starts, _frac
 from stickfrag.model import ExponentSpec
-from stickfrag.oracle import write_exact_residues_csv, write_leaves_csv
+from stickfrag.oracle import LeafList, write_exact_residues_csv, write_leaves_csv
 
 
 FIGURE_EXPONENTS = {
@@ -206,15 +208,61 @@ class TestExactResidueDistribution:
                 rows = exact_residue_distribution(y, N, model, measure)
                 assert tuple(r for r, _ in rows) == exact_residues_rational(y, N).residues, (y, N)
 
-    def test_cap_counts_compositions(self):
-        y = FIGURE_EXPONENTS["fig5"]
+    @pytest.mark.parametrize("fig,N", [("fig3", 3000), ("fig4", 3000), ("fig5", 250), ("fig6", 250)])
+    @pytest.mark.parametrize("measure", [MEASURE_UNIFORM, MEASURE_LENGTH])
+    def test_engine_matches_oracle(self, fig, N, measure):
+        # the engine at the N it runs at: one atom per class, each at u/L
+        # plus the carried offset frac(N log10 pm), with the class's mass
+        y = FIGURE_EXPONENTS[fig]
         model = proportions_from_exponents(ExponentSpec(tuple(y)))
-        count = math.comb(12 + 3, 3)
-        for measure in (MEASURE_UNIFORM, MEASURE_LENGTH):
-            with pytest.raises(ResourceLimitError):
-                exact_residue_distribution(y, 12, model, measure, cap=count - 1)
-            rows = exact_residue_distribution(y, 12, model, measure, cap=count)
-            assert sum(m for _, m in rows) == pytest.approx(1.0, abs=1e-12)
+        dist = exact_distribution(model, N, 10, measure)
+        rows = exact_residue_distribution(y, N, model, measure)
+        assert dist.atoms == len(rows)
+        offset = N * math.log10(model.p[-1])
+        positions = np.array([_frac(float(r) + offset) for r, _ in rows])
+        order = np.argsort(positions)
+        gaps = np.abs(positions[order] - dist.residues)
+        assert np.minimum(gaps, 1.0 - gaps).max() <= 1e-9
+        masses = np.array([mass for _, mass in rows])[order]
+        assert np.abs(masses - dist.masses).max() <= 1e-12
+
+
+class TestPoweringGuard:
+    @pytest.mark.parametrize("measure", [MEASURE_UNIFORM, MEASURE_LENGTH])
+    def test_refuses_above_limit(self, measure, monkeypatch):
+        monkeypatch.setattr(oracle, "_POWERING_WORK_LIMIT", 1000)
+        y = FIGURE_EXPONENTS["fig4"]
+        model = proportions_from_exponents(ExponentSpec(tuple(y)))
+        with pytest.raises(ResourceLimitError, match=r"work estimate .* exceeds the limit 1e\+03"):
+            exact_residue_distribution(y, 150, model, measure)
+
+    @pytest.mark.parametrize("b,N", [(2003, 4000), (4001, 8000)])
+    def test_refuses_before_powering(self, b, N, monkeypatch):
+        # 16.9 s and 217 s of integer products (2 vCPU) without the guard
+        def no_powering(f, g):
+            raise AssertionError("the guard should refuse before any product")
+
+        monkeypatch.setattr(oracle, "_cyclic_product", no_powering)
+        y = ((1, b),)
+        model = proportions_from_exponents(ExponentSpec(y))
+        with pytest.raises(ResourceLimitError, match=f"L={b}, N={N}, uniform"):
+            exact_residue_distribution(y, N, model, MEASURE_UNIFORM)
+
+    @pytest.mark.parametrize(
+        "fig,measure",
+        [*((fig, MEASURE_LENGTH) for fig in FIGURE_EXPONENTS), ("fig5", MEASURE_UNIFORM)],
+    )
+    def test_accepts_figures_at_n_1e5(self, fig, measure):
+        y = FIGURE_EXPONENTS[fig]
+        N = 10**5
+        model = proportions_from_exponents(ExponentSpec(tuple(y)))
+        rows = exact_residue_distribution(y, N, model, measure)
+        assert len(rows) == exact_residues_rational(y, N).count
+        # uniform masses are exact counts over m^N; float length masses carry
+        # a relative error of the sum that each squaring doubles, about
+        # N 2^-53 in all (4e-12 to 6e-12 on fig3-fig6)
+        tol = 1e-12 if measure == MEASURE_UNIFORM else N * 2.0**-52
+        assert math.fsum(mass for _, mass in rows) == pytest.approx(1.0, abs=tol)
 
     def test_uniform_masses_match_enumeration(self):
         y = [Fraction(-1, 3), Fraction(-1, 2)]
@@ -286,11 +334,51 @@ class TestCrossCheck:
         assert rep.passed
         assert rep.max_mass_deviation == expected
 
+    def test_wrap_fold(self, monkeypatch):
+        # an engine atom at 0 that drifts to 1 - 5e-11 is still the brute
+        # atom at 0: only the fold of the first and last cluster pairs them
+        model = make_model([0.1])
+        exact = exact_distribution(model, 3)
+        assert exact.residues[0] == 0.0
+        rotated = rotate_distribution(exact, -5e-11)
+        assert rotated.residues[-1] == pytest.approx(1.0 - 5e-11, abs=1e-15)
+        monkeypatch.setattr(oracle, "exact_distribution", lambda *args: rotated)
+        rep = cross_check(model, 3)
+        assert rep.passed and rep.max_mass_deviation <= 1e-15
+        brute = distribution_from_leaves(brute_force_leaves(model, 3))
+        _, unfolded = _cluster_differences(rotated, brute)
+        assert np.abs(unfolded).max() > ALIGN_TOL
+
     def test_brute_distribution_measures(self):
         leaves = brute_force_leaves(make_model([0.25, 0.35]), 5)
         for measure in (MEASURE_UNIFORM, MEASURE_LENGTH):
             d = distribution_from_leaves(leaves, 10, measure)
             assert abs(d.total_mass() - 1.0) <= 1e-10
+
+
+HALF = make_model([0.5])
+
+
+@pytest.mark.parametrize(
+    "call,fragment",
+    [
+        (lambda: brute_force_leaves(HALF, -1), "need N >= 0"),
+        (lambda: exact_residues_rational([(1, 2)], -1), "need N >= 0"),
+        (lambda: exact_residue_distribution([(1, 2)], -1, HALF), "need N >= 0"),
+        (lambda: exact_residue_distribution([(1, 2)], 3, HALF, "lenght"), "unknown measure"),
+        (lambda: exact_residue_distribution([(1, 2)], 3, make_model([0.2, 0.3])), "need m=2, model has m=3"),
+        (lambda: distribution_from_leaves(brute_force_leaves(HALF, 2), 10, "lenght"), "unknown measure"),
+        (lambda: LeafList(np.full(3, 0.25), 2, 2), "expected 4 leaves, got 3"),
+        (lambda: LeafList(np.full(4, 0.3), 2, 2), "not 1 within 1e-9"),
+    ],
+    ids=[
+        "brute-negative-n", "residues-negative-n", "distribution-negative-n",
+        "distribution-measure", "distribution-m", "leaves-measure", "leaf-count", "leaf-sum",
+    ],
+)
+def test_argument_checks(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
 
 
 class TestOracleCsv:
