@@ -226,6 +226,21 @@ class TestExactResidueDistribution:
         masses = np.array([mass for _, mass in rows])[order]
         assert np.abs(masses - dist.masses).max() <= 1e-12
 
+    def test_uniform_masses_match_enumeration(self):
+        y = [Fraction(-1, 3), Fraction(-1, 2)]
+        model = proportions_from_exponents(ExponentSpec(tuple(y)))
+        rows = exact_residue_distribution(y, 12, model, MEASURE_UNIFORM)
+        dist = exact_distribution(model, 12)
+        masses = sorted(m for _, m in rows)
+        assert sum(m for _, m in rows) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(sorted(dist.masses), masses, atol=1e-12)
+
+    def test_length_masses_sum_to_one(self):
+        y = [Fraction(-1, 4), Fraction(-1, 6)]
+        model = proportions_from_exponents(ExponentSpec(tuple(y)))
+        rows = exact_residue_distribution(y, 10, model, MEASURE_LENGTH)
+        assert sum(m for _, m in rows) == pytest.approx(1.0, abs=1e-10)
+
 
 class TestPoweringGuard:
     @pytest.mark.parametrize("measure", [MEASURE_UNIFORM, MEASURE_LENGTH])
@@ -263,21 +278,6 @@ class TestPoweringGuard:
         # N 2^-53 in all (4e-12 to 6e-12 on fig3-fig6)
         tol = 1e-12 if measure == MEASURE_UNIFORM else N * 2.0**-52
         assert math.fsum(mass for _, mass in rows) == pytest.approx(1.0, abs=tol)
-
-    def test_uniform_masses_match_enumeration(self):
-        y = [Fraction(-1, 3), Fraction(-1, 2)]
-        model = proportions_from_exponents(ExponentSpec(tuple(y)))
-        rows = exact_residue_distribution(y, 12, model, MEASURE_UNIFORM)
-        dist = exact_distribution(model, 12)
-        masses = sorted(m for _, m in rows)
-        assert sum(m for _, m in rows) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(sorted(dist.masses), masses, atol=1e-12)
-
-    def test_length_masses_sum_to_one(self):
-        y = [Fraction(-1, 4), Fraction(-1, 6)]
-        model = proportions_from_exponents(ExponentSpec(tuple(y)))
-        rows = exact_residue_distribution(y, 10, model, MEASURE_LENGTH)
-        assert sum(m for _, m in rows) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestCrossCheck:
