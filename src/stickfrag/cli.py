@@ -19,7 +19,6 @@ from pathlib import Path
 from . import __version__
 from .benford import DEFAULT_KS_THRESHOLD, benford_report, star_discrepancy, write_digits_csv
 from .enumeration import (
-    DEFAULT_CAP,
     MEASURE_UNIFORM,
     MEASURES,
     exact_distribution,
@@ -131,7 +130,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     base = spec.base
     _log(f"analyzing m={model.m} N={args.N} measure={args.measure}")
     try:
-        dist = exact_distribution(model, args.N, base, args.measure, cap=args.cap, threads=args.threads)
+        dist = exact_distribution(model, args.N, base, args.measure, threads=args.threads)
     except ResourceLimitError as exc:
         _log(f"{exc}; consider `stickfrag simulate` for this size")
         return EXIT_RESOURCE
@@ -231,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--measure", choices=MEASURES, default=MEASURE_UNIFORM)
 
     p_analyze.add_argument("--out", type=_out_dir, required=True, help="output directory for this run")
-    p_analyze.add_argument("--cap", type=_int_in(1), default=DEFAULT_CAP, help="composition-count guard")
     p_analyze.add_argument("--threads", type=_int_in(1), default=1, help="accepted; enumeration runs single-threaded")
     p_analyze.add_argument("--ks-threshold", type=_positive_finite_float, default=DEFAULT_KS_THRESHOLD)
     p_analyze.add_argument("--length", type=_positive_finite_float, default=1.0, help="initial stick length L")

@@ -32,7 +32,11 @@ MEASURES = (MEASURE_UNIFORM, MEASURE_LENGTH)
 
 MERGE_TOL = 1e-12
 ALIGN_TOL = 1e-9  # atoms of two distributions this close are one location
-DEFAULT_CAP = 10**8
+# exact_distribution and sample_leaf_residues refuse a run whose estimated
+# peak exceeds this many bytes: about half of an 8 GB host, which leaves room
+# for the interpreter, the report and the other processes on it; it equals
+# the address-space limit the benchmark's guard probe runs under
+_BYTE_LIMIT = 4 << 30
 _CHUNK_ROWS = 1 << 17
 _CSV_BLOCK_ROWS = 1 << 13
 
@@ -137,6 +141,35 @@ def _kahan_columns(K: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:
 
 def composition_count(N: int, m: int) -> int:
     return math.comb(N + m - 1, m - 1)
+
+
+def _refuse_above_byte_limit(estimate: int, what: str) -> None:
+    """Raise ResourceLimitError when estimate, the peak bytes of a run, exceeds _BYTE_LIMIT."""
+    if estimate > _BYTE_LIMIT:
+        raise ResourceLimitError(
+            f"{what} need an estimated {estimate} bytes, above the limit of {_BYTE_LIMIT} bytes"
+        )
+
+
+def _peak_bytes(N: int, m: int) -> int:
+    """Upper bound on the bytes exact_distribution holds at once, for either
+    measure and however many atoms merge.
+
+    Fitted to tracemalloc peaks with every atom distinct (merging only shrinks
+    the merge's arrays), phase by phase, in bytes per composition row:
+    - composition_array's last level: the child table, parent and offset,
+      8m + 16, beside the previous level and its counts, 8m + 8 a row of
+      C(N+m-2, m-2);
+    - the atom table: the composition table and the residue and log-mass
+      table, 8m + 16, plus one chunk's temporaries, max(8m + 8, 40) a row;
+    - the merge: the atom table, its sorted copies and the cluster arrays, 72.
+    The lgamma table adds 8 B a stage, and fixed-size buffers (measured up
+    to 0.25 MB) are covered by 1 MiB.
+    """
+    rows = composition_count(N, m)
+    last_level = (8 * m + 16) * rows + (8 * m + 8) * composition_count(N, m - 1)
+    atom_table = (8 * m + 16) * rows + max(8 * m + 8, 40) * min(rows, _CHUNK_ROWS)
+    return max(last_level, atom_table, 72 * rows) + 8 * (N + 1) + (1 << 20)
 
 
 def compositions(N: int, m: int) -> Iterator[Composition]:
@@ -361,14 +394,19 @@ def exact_distribution(
     N: int,
     base: int = 10,
     measure: str = MEASURE_UNIFORM,
-    cap: int = DEFAULT_CAP,
     threads: int = 1,
 ) -> WeightedMod1Distribution:
     """Exact weighted mod-1 distribution of log stick lengths after N stages.
 
     Aggregates every composition's atom.  Masses are accumulated in log space
     and exponentiated relative to the largest atom, then merged within the
-    residue tolerance.  Refuses when the composition count exceeds cap.
+    residue tolerance.
+
+    Before any array is built, ResourceLimitError refuses a run whose peak
+    estimate _peak_bytes(N, m) exceeds _BYTE_LIMIT (4 GiB).  The estimate is
+    at least the traced peak of either measure, whether or not atoms merge;
+    with every atom distinct that peak is 72 B per composition at m=3-6,
+    97 B at m=8 (N=22) and 129 B at m=10 (N=15).
 
     threads is validated (>= 1) and otherwise ignored: enumeration is
     single-threaded, because splitting the atom table over threads did not
@@ -386,11 +424,10 @@ def exact_distribution(
         raise ValueError(f"need N >= 0, got {N}")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    total = composition_count(N, model.m)
-    if total > cap:
-        raise ResourceLimitError(
-            f"C({N + model.m - 1},{model.m - 1}) = {total} compositions exceeds cap {cap}"
-        )
+    _refuse_above_byte_limit(
+        _peak_bytes(N, model.m),
+        f"C({N + model.m - 1},{model.m - 1}) = {composition_count(N, model.m)} compositions",
+    )
     K = composition_array(N, model.m)
     lgt = np.array([math.lgamma(i + 1) for i in range(N + 1)])
     table = np.empty((2, len(K)))
@@ -405,6 +442,12 @@ def exact_distribution(
     rep, mass = _merge_atoms(residues, logmass)
     if peak != 0.0:  # undo the peak shift; total returns to 1 up to roundoff
         mass = mass * math.exp(peak)
+    total = float(mass.sum())
+    if abs(total - 1.0) > 1e-10:
+        # the float lgamma(N + 1) and N log m round at about ulp(N ln N), the
+        # same for every atom, so the total drifts with N (7e-11 at m=2,
+        # N=8e4) while the exact masses sum to exactly 1
+        mass /= total
     return WeightedMod1Distribution(rep, mass, measure, N, model.m)
 
 

@@ -30,6 +30,7 @@ from .enumeration import (
     WeightedMod1Distribution,
     _frac,
     _kahan_columns,
+    _refuse_above_byte_limit,
     _write_indexed_csv,
     distribution_from_residues,
 )
@@ -37,6 +38,11 @@ from .model import ProportionVector, log_base
 
 GENERATOR_NAME = "numpy.random.PCG64"
 _CHUNK_SAMPLES = 1 << 16
+# bytes sample_leaf_residues holds per sample, at most: the chunks, their
+# concatenation and the merge took 72-75 B a sample with every residue
+# distinct (2^16 to 2^20 samples, fixed and Dirichlet); the rest is room for
+# the fixed-size chunk buffers
+_SAMPLE_BYTES = 80
 
 
 @dataclass(frozen=True)
@@ -122,12 +128,15 @@ def sample_leaf_residues(
 
     Deterministic given (config, N, base): chunk j of the sample stream is
     generated from seed sequence (seed, j) regardless of tasks, which only
-    controls how many chunks run concurrently.
+    controls how many chunks run concurrently.  Before sampling,
+    ResourceLimitError refuses a run whose samples * _SAMPLE_BYTES exceeds the
+    exact engine's byte limit.
     """
     if N < 0:
         raise ValueError(f"need N >= 0, got {N}")
     if tasks < 1:
         raise ValueError("tasks must be >= 1")
+    _refuse_above_byte_limit(config.samples * _SAMPLE_BYTES, f"{config.samples} samples")
     sizes = []
     remaining = config.samples
     while remaining > 0:

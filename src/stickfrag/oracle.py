@@ -37,7 +37,7 @@ from .model import ProportionVector, exponent_entry, log_base
 BRUTE_FORCE_GUARD = 10**7
 # exact_residue_distribution's limit on its work estimate (see there): it
 # accepts fig3-fig6 at N=10^5, and length calls at the limit take 1.4-4.3 s
-# on 2 vCPU (uniform counts of 8-16 words run slower, see README)
+# on 2 vCPU
 _POWERING_WORK_LIMIT = 3 * 10**10
 
 
@@ -189,8 +189,11 @@ def exact_residue_distribution(
     The powering takes about log2(N+1) products of L^2 multiply-adds each.
     Before any of them, ResourceLimitError refuses a call whose work
     L^2 * ceil(log2(N+1)) * w exceeds _POWERING_WORK_LIMIT, where w = 256
-    for float multiply-adds (length) and w = max(256, W^2) for the counts
-    (uniform), W = ceil(N log2(m) / 64) being their size in 64-bit words.
+    for float multiply-adds (length) and w = max(256, 256 W, W^2) for the
+    counts (uniform), W = ceil(N log2(m) / 64) being their size in 64-bit
+    words.  An int multiply-add of W words took about 12 W ns (L=600,
+    W=2-64, 2 vCPU), so the 256 W term prices it at a steady 45-65 ps per
+    unit of work.
     The counts take 8 L W bytes, at most 8 sqrt(limit).
     """
     if measure not in MEASURES:
@@ -203,7 +206,7 @@ def exact_residue_distribution(
         raise ValueError(f"need N >= 0, got {N}")
     lcm, shifts = _class_shifts(pairs)
     words = math.ceil(N * math.log2(m) / 64) if measure == MEASURE_UNIFORM else 0
-    work = lcm**2 * math.ceil(math.log2(N + 1)) * max(256, words**2)
+    work = lcm**2 * math.ceil(math.log2(N + 1)) * max(256, 256 * words, words**2)
     if work > _POWERING_WORK_LIMIT:
         raise ResourceLimitError(
             f"residue powering work estimate {work:.3g} (L={lcm}, N={N}, {measure}) "

@@ -1,13 +1,16 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import stickfrag.cli as cli
+from stickfrag import enumeration
 from stickfrag.oracle import CrossCheckReport
 
 # subprocesses import the package from this checkout, installed or not
@@ -18,13 +21,14 @@ REPORT_KEYS = {
 }
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, preexec_fn=None):
     proc = subprocess.run(
         [sys.executable, "-m", "stickfrag", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=preexec_fn,
     )
     return proc
 
@@ -129,12 +133,46 @@ class TestAnalyze:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_cap_exceeded_exits_3_and_suggests_simulate(self, fig3_config, tmp_path):
-        proc = run_cli(
-            "analyze", "--config", str(fig3_config), "--N", "2000",
-            "--out", str(tmp_path / "x"), "--cap", "1000",
-        )
+        proc = run_cli("analyze", "--config", str(fig3_config), "--N", "1000000", "--out", str(tmp_path / "x"))
         assert proc.returncode == 3
+        assert "above the limit of 4294967296 bytes" in proc.stderr
         assert "simulate" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "config,N",
+        [
+            ({"exponents": [{"real": -math.sqrt(2)}, {"real": -math.sqrt(3)}]}, 14_000),
+            ({"proportions": [0.1] * 9}, 27),
+        ],
+        ids=["irrational-m3", "m10"],
+    )
+    def test_refused_fast_under_memory_limit(self, config, N, tmp_path):
+        # 7.1 GB and 11 GB by the estimate; both fit the former 10^8 count cap
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        limit = 4 << 30
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        started = time.perf_counter()
+        proc = run_cli("analyze", "--config", str(cfg), "--N", str(N), "--out", str(tmp_path / "x"),
+                       preexec_fn=limit_memory)
+        assert time.perf_counter() - started < 1.0
+        assert proc.returncode == 3, proc.stderr
+        assert "compositions need an estimated" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("measure", ["uniform", "length"])
+    def test_two_part_model_at_n_1e5(self, measure, tmp_path):
+        # the float lgamma terms drift the mass total past 1e-10 here
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"proportions": [0.3]}))
+        proc = run_cli("analyze", "--config", str(cfg), "--N", "100000", "--measure", measure,
+                       "--out", str(tmp_path / "x"))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["distinct_residues"] == 100_001
 
     def test_scale_flag_keeps_verdict_deterministic(self, fig3_config, tmp_path):
         out_dir = tmp_path / "scaled"
@@ -229,10 +267,20 @@ class TestSimulate:
         run_cli(*common, "--seed", "2", "--out", str(b))
         assert (a / "samples.csv").read_bytes() != (b / "samples.csv").read_bytes()
 
+    def test_byte_guard_exits_3(self, fig7_config, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(enumeration, "_BYTE_LIMIT", 1000)
+        code = cli.main(["simulate", "--config", str(fig7_config), "--N", "30", "--samples", "100",
+                         "--seed", "1", "--out", str(tmp_path / "s")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "100 samples need an estimated 8000 bytes, above the limit of 1000 bytes" in captured.err
+        assert not (tmp_path / "s").exists()
+
 
 class TestBadFlags:
     # each is rejected by the parser (exit 2, nothing on stdout) before any
-    # engine work; --N 2000 with --cap 1000 would otherwise trip the guard (3)
+    # engine work; --N 1000000 would otherwise trip the byte guard (3)
     @pytest.mark.parametrize(
         "args",
         [
@@ -241,16 +289,15 @@ class TestBadFlags:
             ["classify", "--tolerance", "nan"],
             ["analyze", "--N", "5", "--threads", "0"],
             ["analyze", "--N", "-1"],
-            ["analyze", "--N", "5", "--cap", "0"],
-            ["analyze", "--N", "5", "--cap", "-1"],
-            ["analyze", "--N", "2000", "--cap", "1000", "--length", "0"],
-            ["analyze", "--N", "2000", "--cap", "1000", "--length", "-3"],
-            ["analyze", "--N", "2000", "--cap", "1000", "--length", "inf"],
-            ["analyze", "--N", "2000", "--cap", "1000", "--length", "nan"],
-            ["analyze", "--N", "2000", "--cap", "1000", "--ks-threshold", "-1"],
-            ["analyze", "--N", "2000", "--cap", "1000", "--ks-threshold", "nan"],
-            ["analyze", "--N", "2000", "--cap", "1000", "--ks-threshold", "inf"],
-            ["analyze", "--N", "2000", "--cap", "1000", "--ks-threshold", "0"],
+            ["analyze", "--N", "5", "--cap", "5"],
+            ["analyze", "--N", "1000000", "--length", "0"],
+            ["analyze", "--N", "1000000", "--length", "-3"],
+            ["analyze", "--N", "1000000", "--length", "inf"],
+            ["analyze", "--N", "1000000", "--length", "nan"],
+            ["analyze", "--N", "1000000", "--ks-threshold", "-1"],
+            ["analyze", "--N", "1000000", "--ks-threshold", "nan"],
+            ["analyze", "--N", "1000000", "--ks-threshold", "inf"],
+            ["analyze", "--N", "1000000", "--ks-threshold", "0"],
             ["brute", "--N", "-2"],
             ["simulate", "--N", "5", "--samples", "0", "--seed", "1"],
             ["simulate", "--N", "5", "--samples", "10", "--seed", "-1"],

@@ -1,4 +1,5 @@
 import math
+import timeit
 from fractions import Fraction
 
 import numpy as np
@@ -26,10 +27,20 @@ from stickfrag import (
     sample_leaf_residues,
     write_distribution_csv,
 )
-from stickfrag.enumeration import MEASURES, MERGE_TOL, _atom_table, _frac, _merge_atoms, composition_array
+from stickfrag import enumeration
+from stickfrag.enumeration import (
+    MEASURES,
+    MERGE_TOL,
+    _atom_table,
+    _frac,
+    _merge_atoms,
+    _peak_bytes,
+    composition_array,
+)
 from stickfrag.oracle import brute_force_leaves
 
 FIG7 = proportions_from_exponents(ExponentSpec((Fraction(-1, 2), -math.sqrt(2))))
+FIG9 = proportions_from_exponents(ExponentSpec((-math.sqrt(2), Fraction(-1, 3), Fraction(-1, 4))))
 
 
 def exact_multinomial(N, k):
@@ -289,9 +300,44 @@ class TestExactDistribution:
         assert np.allclose(d1.residues, d2.residues, atol=1e-9)
         assert np.allclose(d1.masses, d2.masses, atol=1e-12)
 
-    def test_resource_cap(self):
-        with pytest.raises(ResourceLimitError):
-            exact_distribution(make_model([0.3, 0.3]), 100, cap=1000)
+    def test_resource_cap(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_BYTE_LIMIT", 1000)
+        with pytest.raises(ResourceLimitError, match=r"C\(102,2\) = 5151 compositions need an estimated "
+                           r"\d+ bytes, above the limit of 1000 bytes"):
+            exact_distribution(make_model([0.3, 0.3]), 100)
+
+    @pytest.mark.parametrize("m,N", [(3, 14_000), (10, 27), (4, 2000)], ids=["m3-N14000", "m10-N27", "fig5-N2000"])
+    def test_refusal_allocates_nothing(self, m, N, monkeypatch, traced_peak):
+        # 7.1, 11 and 96 GB by the estimate; the refusal is closed-form arithmetic before any array
+        def no_table(N, m):
+            raise AssertionError("the guard should refuse before the composition table")
+
+        monkeypatch.setattr(enumeration, "composition_array", no_table)
+        model = ProportionVector(tuple(np.full(m, 1.0 / m)))
+
+        def refuse():
+            with pytest.raises(ResourceLimitError, match="above the limit of 4294967296 bytes"):
+                exact_distribution(model, N)
+
+        assert traced_peak(refuse) < 64 * 1024
+        assert min(timeit.repeat(refuse, number=1, repeat=5)) < 0.01
+
+    @pytest.mark.parametrize(
+        "model,N",
+        [
+            *((ProportionVector(tuple(np.random.default_rng(m).dirichlet(np.ones(m)))), N)
+              for m, N in ((2, 300_000), (3, 774), (4, 120), (6, 30), (8, 17), (10, 12))),
+            (FIG7, 774),
+            (FIG9, 120),
+        ],
+        ids=["m2", "m3", "m4", "m6", "m8", "m10", "fig7", "fig9"],
+    )
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_peak_estimate_bounds_traced_peak(self, model, N, measure, traced_peak):
+        # about 3e5 compositions each: every atom distinct on the random
+        # models, merging on fig7 and fig9, whose peak is lower
+        peak = traced_peak(lambda: exact_distribution(model, N, measure=measure))
+        assert peak <= _peak_bytes(N, model.m) <= 1.5 * peak
 
     def test_merging_tolerance(self):
         d = distribution_from_residues(

@@ -12,6 +12,7 @@ from stickfrag import (
     ExponentSpec,
     ProportionVector,
     RandomProportions,
+    ResourceLimitError,
     SamplerConfig,
     exact_distribution,
     ks_distance,
@@ -19,8 +20,9 @@ from stickfrag import (
     proportions_from_exponents,
     sample_leaf_residues,
 )
+from stickfrag import enumeration, montecarlo
 from stickfrag.enumeration import _CSV_BLOCK_ROWS, _frac
-from stickfrag.montecarlo import _sample_chunk, write_metadata_json, write_samples_csv
+from stickfrag.montecarlo import _SAMPLE_BYTES, _sample_chunk, write_metadata_json, write_samples_csv
 from stickfrag.oracle import brute_force_leaves, write_leaves_csv
 
 
@@ -239,6 +241,36 @@ class TestConfigValidation:
             SamplerConfig(
                 seed=1, samples=10, mode=FixedProportions(make_model([0.5])), measure="bogus"
             )
+
+
+class TestByteGuard:
+    def test_refuses_before_sampling(self, monkeypatch):
+        config = fixed(make_model([0.3, 0.3]), samples=1000)
+        monkeypatch.setattr(enumeration, "_BYTE_LIMIT", 80_000)  # 1000 samples at 80 B fit exactly
+        assert len(sample_leaf_residues(config, 10)[0]) == 1000
+
+        def no_sampling(*args):
+            raise AssertionError("the guard should refuse before any chunk is sampled")
+
+        monkeypatch.setattr(enumeration, "_BYTE_LIMIT", 80_000 - 1)
+        monkeypatch.setattr(montecarlo, "_sample_chunk", no_sampling)
+        with pytest.raises(ResourceLimitError,
+                           match="1000 samples need an estimated 80000 bytes, above the limit of 79999 bytes"):
+            sample_leaf_residues(config, 10)
+
+    @pytest.mark.parametrize(
+        "mode,N",
+        [
+            (FixedProportions(proportions_from_exponents(ExponentSpec((-math.sqrt(2), -math.sqrt(3))))), 10**7),
+            (RandomProportions(3, (1.0, 1.0, 1.0)), 5),
+        ],
+        ids=["fixed", "dirichlet"],
+    )
+    def test_per_sample_bound_holds(self, mode, N, traced_peak):
+        # 2^18 samples, (almost) every residue distinct, so nothing merges
+        n = 2**18
+        config = SamplerConfig(seed=1, samples=n, mode=mode)
+        assert traced_peak(lambda: sample_leaf_residues(config, N)) <= n * _SAMPLE_BYTES
 
 
 @pytest.mark.parametrize(

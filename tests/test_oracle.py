@@ -251,16 +251,27 @@ class TestPoweringGuard:
         with pytest.raises(ResourceLimitError, match=r"work estimate .* exceeds the limit 1e\+03"):
             exact_residue_distribution(y, 150, model, measure)
 
-    @pytest.mark.parametrize("b,N", [(2003, 4000), (4001, 8000)])
-    def test_refuses_before_powering(self, b, N, monkeypatch):
-        # 16.9 s and 217 s of integer products (2 vCPU) without the guard
+    @pytest.mark.parametrize(
+        "y,N",
+        [
+            (((1, 2003),), 4000),
+            (((1, 4001),), 8000),
+            (((1, 13), (1, 16), (1, 17)), 511),
+            (((1, 59), (1, 61)), 500),
+            (((1, 13), (1, 16), (1, 17)), 255),
+        ],
+        ids=lambda v: "-".join(str(b) for _, b in v) if isinstance(v, tuple) else str(v),
+    )
+    def test_refuses_before_powering(self, y, N, monkeypatch):
+        # 16.9 s, 217 s, 30.1 s, 16.1 s and 14.7 s of integer products
+        # (2 vCPU) without the guard; the last three are counts of 8-16 words
         def no_powering(f, g):
             raise AssertionError("the guard should refuse before any product")
 
         monkeypatch.setattr(oracle, "_cyclic_product", no_powering)
-        y = ((1, b),)
         model = proportions_from_exponents(ExponentSpec(y))
-        with pytest.raises(ResourceLimitError, match=f"L={b}, N={N}, uniform"):
+        L = math.lcm(*(b for _, b in y))
+        with pytest.raises(ResourceLimitError, match=f"L={L}, N={N}, uniform"):
             exact_residue_distribution(y, N, model, MEASURE_UNIFORM)
 
     @pytest.mark.parametrize(
@@ -278,6 +289,20 @@ class TestPoweringGuard:
         # N 2^-53 in all (4e-12 to 6e-12 on fig3-fig6)
         tol = 1e-12 if measure == MEASURE_UNIFORM else N * 2.0**-52
         assert math.fsum(mass for _, mass in rows) == pytest.approx(1.0, abs=tol)
+
+    @pytest.mark.parametrize("fig", ["fig3", "fig4", "fig6"])
+    def test_guard_accepts_uniform_figures_at_n_1e5(self, fig, monkeypatch):
+        # the powering itself is run above for fig5 only
+        class Accepted(Exception):
+            pass
+
+        def accepted(f, g):
+            raise Accepted
+
+        monkeypatch.setattr(oracle, "_cyclic_product", accepted)
+        y = FIGURE_EXPONENTS[fig]
+        with pytest.raises(Accepted):
+            exact_residue_distribution(y, 10**5, proportions_from_exponents(ExponentSpec(tuple(y))))
 
 
 class TestCrossCheck:
