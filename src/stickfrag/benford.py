@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .enumeration import WeightedMod1Distribution, _cluster_differences
+from .enumeration import WeightedMod1Distribution, _cluster_differences, _write_csv
 from .model import log_base
 
 SIGNIFICAND_SNAP = 1e-12
@@ -99,10 +99,13 @@ def _cdf(dist: WeightedMod1Distribution) -> np.ndarray:
     return np.concatenate(([0.0], _cumsum_compensated(dist.masses)))
 
 
-def _g_values(dist: WeightedMod1Distribution) -> tuple[np.ndarray, np.ndarray, float]:
-    """(g at atoms from the right, from the left, g(1)) for g(s) = CDF(s) - s."""
-    cdf = _cdf(dist)
-    return cdf[1:] - dist.residues, cdf[:-1] - dist.residues, float(cdf[-1] - 1.0)
+def _ks_and_discrepancy(dist: WeightedMod1Distribution, cdf: np.ndarray) -> tuple[float, float]:
+    """(max |g|, max g - min g) for g(s) = CDF(s) - s at both sides of each atom and 1; cdf is _cdf(dist)."""
+    g_right, g_left, g_one = cdf[1:] - dist.residues, cdf[:-1] - dist.residues, float(cdf[-1] - 1.0)
+    ks = max(np.abs(g_right).max(), np.abs(g_left).max(), abs(g_one))
+    hi = max(g_right.max(), g_left.max(), g_one, 0.0)
+    lo = min(g_right.min(), g_left.min(), g_one, 0.0)
+    return float(ks), float(hi - lo)
 
 
 def cdf_mod1(dist: WeightedMod1Distribution, s: float) -> float:
@@ -114,16 +117,12 @@ def cdf_mod1(dist: WeightedMod1Distribution, s: float) -> float:
 
 def ks_to_uniform(dist: WeightedMod1Distribution) -> float:
     """sup over s in [0,1] of |CDF(s) - s|, exact at atom locations."""
-    g_right, g_left, g_one = _g_values(dist)
-    return float(max(np.abs(g_right).max(), np.abs(g_left).max(), abs(g_one)))
+    return _ks_and_discrepancy(dist, _cdf(dist))[0]
 
 
 def star_discrepancy(dist: WeightedMod1Distribution) -> float:
     """sup over subintervals [a,b] of [0,1] of |mass([a,b]) - (b-a)|."""
-    g_right, g_left, g_one = _g_values(dist)
-    hi = max(g_right.max(), g_left.max(), g_one, 0.0)
-    lo = min(g_right.min(), g_left.min(), g_one, 0.0)
-    return float(hi - lo)
+    return _ks_and_discrepancy(dist, _cdf(dist))[1]
 
 
 def benford_expected(base: int = 10) -> np.ndarray:
@@ -132,17 +131,20 @@ def benford_expected(base: int = 10) -> np.ndarray:
     return np.log(1.0 + 1.0 / d) / math.log(base)
 
 
-def leading_digit_histogram(dist: WeightedMod1Distribution, base: int = 10) -> np.ndarray:
-    """Mass per leading digit: residue r belongs to digit d iff
-    log_base(d) <= r < log_base(d+1)."""
+def _digit_masses(dist: WeightedMod1Distribution, cdf: np.ndarray, base: int) -> np.ndarray:
     if not isinstance(base, int) or base < 2:
         raise ValueError(f"base must be an integer >= 2, got {base!r}")
     edges = np.log(np.arange(1, base + 1)) / math.log(base)
     edges[0] = 0.0
     edges[-1] = 1.0
     idx = np.searchsorted(dist.residues, edges, side="left")
-    cdf = _cdf(dist)
     return cdf[idx[1:]] - cdf[idx[:-1]]
+
+
+def leading_digit_histogram(dist: WeightedMod1Distribution, base: int = 10) -> np.ndarray:
+    """Mass per leading digit: residue r belongs to digit d iff
+    log_base(d) <= r < log_base(d+1)."""
+    return _digit_masses(dist, _cdf(dist), base)
 
 
 def chi2_vs_benford(freqs, base: int = 10) -> float:
@@ -164,10 +166,10 @@ def benford_report(
     base: int = 10,
     ks_threshold: float = DEFAULT_KS_THRESHOLD,
 ) -> BenfordReport:
-    """Bundle every metric for one distribution."""
-    ks = ks_to_uniform(dist)
-    disc = star_discrepancy(dist)
-    freqs = leading_digit_histogram(dist, base)
+    """Bundle every metric for one distribution, from one compensated CDF."""
+    cdf = _cdf(dist)
+    ks, disc = _ks_and_discrepancy(dist, cdf)
+    freqs = _digit_masses(dist, cdf, base)
     return BenfordReport(
         ks_to_uniform_mod1=ks,
         star_discrepancy=disc,
@@ -196,8 +198,4 @@ def ks_distance(a: WeightedMod1Distribution, b: WeightedMod1Distribution) -> flo
 
 def write_digits_csv(freqs, base: int, path: str | Path) -> None:
     """Dump 'digit,frequency,benford_expected' rows for digits 1..base-1."""
-    expected = benford_expected(base)
-    lines = ["digit,frequency,benford_expected"]
-    for d, (f, e) in enumerate(zip(freqs, expected), start=1):
-        lines.append(f"{d},{f:.17g},{e:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, "digit,frequency,benford_expected", range(1, base), freqs, benford_expected(base))

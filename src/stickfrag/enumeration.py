@@ -103,22 +103,31 @@ def _frac(x):
     return x
 
 
-def _write_indexed_csv(header: str, values: np.ndarray, path: str | Path) -> None:
-    """Dump 'index,value' rows in array order, values to 17 significant digits.
+def _write_csv(path: str | Path, header: str, *columns) -> None:
+    """Write header, then one row per index of the equal-length columns.
 
-    Rows go out in blocks of _CSV_BLOCK_ROWS, and each block formats every
-    distinct value once: a fixed-proportion model puts its samples on a few
-    hundred atoms, and the correctly rounded conversion, not the arithmetic,
-    is the cost.  Values are deduplicated by bit pattern, not by value, so
+    Floats (numpy's float64 is one) print to 17 significant digits, which
+    round-trip every double; ints (a range, or a list of any size) print as
+    str(int).  Each block of _CSV_BLOCK_ROWS rows formats every distinct
+    float once, in one %-format, so samples on a few hundred atoms cost a few
+    hundred conversions.  Floats are told apart by bit pattern, not value, so
     -0.0 keeps its own text ('-0') apart from 0.0 ('0').
     """
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for start in range(0, len(v), _CSV_BLOCK_ROWS):
-            bits, inverse = np.unique(v[start:start + _CSV_BLOCK_ROWS].view(np.int64), return_inverse=True)
-            text = [f"{x:.17g}" for x in bits.view(np.float64).tolist()]
-            f.write("".join([f"{i},{text[j]}\n" for i, j in enumerate(inverse.tolist(), start)]))
+    width = len(columns)
+    row = ",".join(["%s"] * width) + "\n"
+    with open(path, "wb") as out:
+        out.write(f"{header}\n".encode())
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = [c[start:start + _CSV_BLOCK_ROWS] for c in columns]
+            floats = np.array([b for b in block if isinstance(b[0], float)], dtype=np.float64)
+            bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
+            # the empty text after the last "\0" is never picked by inverse
+            text = ("%.17g\0" * len(bits) % tuple(bits.view(np.float64).tolist())).split("\0")
+            texts = iter(np.array(text, dtype=object)[inverse.reshape(floats.shape)].tolist())
+            fields = [None] * (len(block[0]) * width)
+            for j, b in enumerate(block):
+                fields[j::width] = next(texts) if isinstance(b[0], float) else b
+            out.write((row * len(block[0]) % tuple(fields)).encode())
 
 
 def _kahan_columns(K: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:
@@ -459,8 +468,4 @@ def rotate_distribution(dist: WeightedMod1Distribution, shift: float) -> Weighte
 
 def write_distribution_csv(dist: WeightedMod1Distribution, path: str | Path) -> None:
     """Dump atoms as 'residue,mass' rows sorted by residue, 17 significant digits."""
-    # Python floats format to the same bytes as numpy scalars, but faster;
-    # rows stream to the file, so no list of lines is held
-    with open(path, "w") as f:
-        f.write("residue,mass\n")
-        f.writelines(f"{r:.17g},{w:.17g}\n" for r, w in zip(dist.residues.tolist(), dist.masses.tolist()))
+    _write_csv(path, "residue,mass", dist.residues, dist.masses)

@@ -31,17 +31,17 @@ from .enumeration import (
     _frac,
     _kahan_columns,
     _refuse_above_byte_limit,
-    _write_indexed_csv,
+    _write_csv,
     distribution_from_residues,
 )
 from .model import ProportionVector, log_base
 
 GENERATOR_NAME = "numpy.random.PCG64"
 _CHUNK_SAMPLES = 1 << 16
-# bytes sample_leaf_residues holds per sample, at most: the chunks, their
-# concatenation and the merge took 72-75 B a sample with every residue
-# distinct (2^16 to 2^20 samples, fixed and Dirichlet); the rest is room for
-# the fixed-size chunk buffers
+# bytes sample_leaf_residues holds per sample, at most: the residues and the
+# merge took 63-67 B a sample with every residue distinct (2^18 and 2^20
+# samples, fixed and Dirichlet); the rest is room for the fixed-size chunk
+# buffers, which reach 91 B a sample (6 MB) in one Dirichlet chunk of 2^16
 _SAMPLE_BYTES = 80
 
 
@@ -137,25 +137,22 @@ def sample_leaf_residues(
     if tasks < 1:
         raise ValueError("tasks must be >= 1")
     _refuse_above_byte_limit(config.samples * _SAMPLE_BYTES, f"{config.samples} samples")
-    sizes = []
-    remaining = config.samples
-    while remaining > 0:
-        sizes.append(min(_CHUNK_SAMPLES, remaining))
-        remaining -= sizes[-1]
-    jobs = list(enumerate(sizes))
+    jobs = [(j, min(_CHUNK_SAMPLES, config.samples - start))
+            for j, start in enumerate(range(0, config.samples, _CHUNK_SAMPLES))]
     if tasks == 1 or len(jobs) == 1:
         chunks = [_sample_chunk(config, N, base, j, n) for j, n in jobs]
     else:
         with ThreadPoolExecutor(max_workers=tasks) as pool:
             chunks = list(pool.map(lambda jn: _sample_chunk(config, N, base, jn[0], jn[1]), jobs))
     residues = np.concatenate(chunks)
+    del chunks  # their concatenation holds every residue; the merge needs no second copy
     dist = distribution_from_residues(residues, config.measure, N, config.m)
     return residues, dist
 
 
 def write_samples_csv(residues: np.ndarray, path: str | Path) -> None:
     """Dump 'sample_index,residue' rows in stream order, 17 significant digits."""
-    _write_indexed_csv("sample_index,residue", residues, path)
+    _write_csv(path, "sample_index,residue", range(len(residues)), residues)
 
 
 def write_metadata_json(config: SamplerConfig, N: int, base: int, config_echo: dict, path: str | Path) -> None:

@@ -29,7 +29,7 @@ from .enumeration import (
     build_distribution,
     exact_distribution,
     _frac,
-    _write_indexed_csv,
+    _write_csv,
 )
 from .errors import ResourceLimitError
 from .model import ProportionVector, exponent_entry, log_base
@@ -280,13 +280,10 @@ def cross_check(
 
 def write_leaves_csv(leaves: LeafList, path: str | Path) -> None:
     """Dump 'leaf_index,length' rows in depth-first leaf order, 17 significant digits."""
-    _write_indexed_csv("leaf_index,length", leaves.lengths, path)
+    _write_csv(path, "leaf_index,length", range(len(leaves.lengths)), leaves.lengths)
 
 
 def write_exact_residues_csv(rows: list[tuple[Fraction, float]], lcm: int, path: str | Path) -> None:
     """Dump 'numerator,denominator_lcm,mass' rows for exact residue classes."""
-    lines = ["numerator,denominator_lcm,mass"]
-    for frac_val, mass in rows:
-        num = frac_val.numerator * (lcm // frac_val.denominator)
-        lines.append(f"{num},{lcm},{mass:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, "numerator,denominator_lcm,mass", [r.numerator * (lcm // r.denominator) for r, _ in rows],
+               [lcm] * len(rows), [mass for _, mass in rows])

@@ -164,6 +164,20 @@ class TestAnalyze:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("measure", ["uniform", "length"])
+    def test_whole_run_within_peak_estimate(self, measure, tmp_path, traced_peak):
+        # every atom distinct: 300,700 compositions.  The report and the
+        # writers run after the engine and must stay under its estimate; a
+        # writer that held both CSV columns as Python floats took 80.8 B a
+        # composition against 75.5
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"exponents": [{"real": -math.sqrt(2)}, {"real": -math.sqrt(3)}]}))
+        argv = ["analyze", "--config", str(cfg), "--N", "774", "--measure", measure, "--out", str(tmp_path / "x")]
+        codes = []
+        peak = traced_peak(lambda: codes.append(cli.main(argv)))
+        assert codes == [0]
+        assert peak <= enumeration._peak_bytes(774, 3)
+
+    @pytest.mark.parametrize("measure", ["uniform", "length"])
     def test_two_part_model_at_n_1e5(self, measure, tmp_path):
         # the float lgamma terms drift the mass total past 1e-10 here
         cfg = tmp_path / "c.json"

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,16 +15,22 @@ from stickfrag import (
     RandomProportions,
     ResourceLimitError,
     SamplerConfig,
+    benford_expected,
+    benford_report,
     exact_distribution,
+    exact_residue_distribution,
+    exact_residues_rational,
     ks_distance,
     make_model,
     proportions_from_exponents,
     sample_leaf_residues,
+    write_distribution_csv,
 )
 from stickfrag import enumeration, montecarlo
+from stickfrag.benford import write_digits_csv
 from stickfrag.enumeration import _CSV_BLOCK_ROWS, _frac
 from stickfrag.montecarlo import _SAMPLE_BYTES, _sample_chunk, write_metadata_json, write_samples_csv
-from stickfrag.oracle import brute_force_leaves, write_leaves_csv
+from stickfrag.oracle import brute_force_leaves, write_exact_residues_csv, write_leaves_csv
 
 
 def fixed(model, seed=1234, samples=1000, measure=MEASURE_UNIFORM):
@@ -267,10 +274,12 @@ class TestByteGuard:
         ids=["fixed", "dirichlet"],
     )
     def test_per_sample_bound_holds(self, mode, N, traced_peak):
-        # 2^18 samples, (almost) every residue distinct, so nothing merges
+        # 2^18 samples, (almost) every residue distinct, so nothing merges:
+        # the residues and the merge take 64-67 B a sample; the chunk list
+        # kept beside them made that 72-75
         n = 2**18
         config = SamplerConfig(seed=1, samples=n, mode=mode)
-        assert traced_peak(lambda: sample_leaf_residues(config, N)) <= n * _SAMPLE_BYTES
+        assert traced_peak(lambda: sample_leaf_residues(config, N)) <= n * 70 < n * _SAMPLE_BYTES
 
 
 @pytest.mark.parametrize(
@@ -312,45 +321,93 @@ class TestDumps:
         assert meta["config"] == {"proportions": [0.3]}
 
 
-def reference_indexed_csv(header, values, path):
-    """The per-row writer the block writer replaced: one %.17g per row."""
+def reference_indexed_csv(header):
+    """The per-row writer the block writer replaced for samples and leaves: one %.17g per row."""
+
+    def write(values, path):
+        with open(path, "w") as f:
+            f.write(header + "\n")
+            f.writelines(f"{i},{v:.17g}\n" for i, v in enumerate(values.tolist()))
+
+    return write
+
+
+def reference_distribution_csv(dist, path):
+    """write_distribution_csv before the block writer: both columns as Python floats, one row at a time."""
     with open(path, "w") as f:
-        f.write(header + "\n")
-        f.writelines(f"{i},{v:.17g}\n" for i, v in enumerate(values.tolist()))
+        f.write("residue,mass\n")
+        f.writelines(f"{r:.17g},{w:.17g}\n" for r, w in zip(dist.residues.tolist(), dist.masses.tolist()))
 
 
+def reference_digits_csv(freqs, base, path):
+    """write_digits_csv before the block writer."""
+    lines = ["digit,frequency,benford_expected"]
+    for d, (f, e) in enumerate(zip(freqs, benford_expected(base)), start=1):
+        lines.append(f"{d},{f:.17g},{e:.17g}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def reference_exact_residues_csv(rows, lcm, path):
+    """write_exact_residues_csv before the block writer."""
+    lines = ["numerator,denominator_lcm,mass"]
+    for frac_val, mass in rows:
+        lines.append(f"{frac_val.numerator * (lcm // frac_val.denominator)},{lcm},{mass:.17g}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+# kind -> (public writer, the writer it replaced), both called as write(data, path)
 ROW_WRITERS = {
-    "samples": ("sample_index,residue", write_samples_csv),
-    "leaves": ("leaf_index,length", lambda v, path: write_leaves_csv(SimpleNamespace(lengths=v), path)),
+    "samples": (write_samples_csv, reference_indexed_csv("sample_index,residue")),
+    "leaves": (
+        lambda v, path: write_leaves_csv(SimpleNamespace(lengths=v), path),
+        reference_indexed_csv("leaf_index,length"),
+    ),
+    "distribution": (write_distribution_csv, reference_distribution_csv),
+    "digits": (
+        lambda data, path: write_digits_csv(*data, path),
+        lambda data, path: reference_digits_csv(*data, path),
+    ),
+    "exact_residues": (
+        lambda data, path: write_exact_residues_csv(*data, path),
+        lambda data, path: reference_exact_residues_csv(*data, path),
+    ),
 }
+INDEXED = ("samples", "leaves")  # the writers of one float array
 EDGE_VALUES = [0.0, -0.0, 5e-324, 1e-05, 1 - 2**-53, 1.0]
 B = _CSV_BLOCK_ROWS
+ALL_IRRATIONAL = proportions_from_exponents(ExponentSpec((-math.sqrt(2), -math.sqrt(3))))
+FIG7 = proportions_from_exponents(ExponentSpec((Fraction(-1, 2), -math.sqrt(2))))
+RATIONAL_FIGURES = {
+    "fig3": (Fraction(-1, 3), Fraction(-1, 2)),
+    "fig4": (Fraction(-1, 4), Fraction(-1, 6)),
+    "fig5": (Fraction(-1, 2), Fraction(-1, 3), Fraction(-1, 4)),
+    "fig6": (Fraction(-1, 4), Fraction(-1, 2), Fraction(-1, 6)),
+}
 
 
 class TestRowWriterBytes:
-    def assert_same_bytes(self, tmp_path, kind, values):
-        header, write = ROW_WRITERS[kind]
+    def assert_same_bytes(self, tmp_path, kind, data):
+        write, reference = ROW_WRITERS[kind]
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        write(values, got)
-        reference_indexed_csv(header, values, want)
+        write(data, got)
+        reference(data, want)
         assert got.read_bytes() == want.read_bytes()
 
-    @pytest.mark.parametrize("kind", ROW_WRITERS)
+    @pytest.mark.parametrize("kind", INDEXED)
     @pytest.mark.parametrize("measure", [MEASURE_UNIFORM, MEASURE_LENGTH])
     def test_fixed_model_samples(self, tmp_path, kind, measure):
         # fig7 at N=1000: a few hundred distinct residues in 2^17 rows
-        model = proportions_from_exponents(ExponentSpec((Fraction(-1, 2), -math.sqrt(2))))
-        res, dist = sample_leaf_residues(fixed(model, seed=3, samples=1 << 17, measure=measure), 1000)
+        res, dist = sample_leaf_residues(fixed(FIG7, seed=3, samples=1 << 17, measure=measure), 1000)
         assert dist.atoms < 1000
         self.assert_same_bytes(tmp_path, kind, res)
 
-    @pytest.mark.parametrize("kind", ROW_WRITERS)
+    @pytest.mark.parametrize("kind", INDEXED)
     def test_all_distinct_values(self, tmp_path, kind):
         values = np.random.default_rng(11).random(3 * B + 17)
         assert len(np.unique(values)) == len(values)
         self.assert_same_bytes(tmp_path, kind, values)
 
-    @pytest.mark.parametrize("kind", ROW_WRITERS)
+    @pytest.mark.parametrize("kind", INDEXED)
     @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
     def test_edge_values_and_block_lengths(self, tmp_path, kind, n):
         # edge values cycle through every block, so each block holds both
@@ -361,3 +418,34 @@ class TestRowWriterBytes:
     def test_brute_force_leaves(self, tmp_path):
         # 3^9 read-only leaf lengths over three blocks
         self.assert_same_bytes(tmp_path, "leaves", brute_force_leaves(make_model([0.3, 0.2]), 9).lengths)
+
+    @pytest.mark.parametrize("measure", [MEASURE_UNIFORM, MEASURE_LENGTH])
+    @pytest.mark.parametrize("model", [FIG7, ALL_IRRATIONAL], ids=["fig7", "all-irrational"])
+    def test_distribution(self, tmp_path, model, measure):
+        # N=200: 401 atoms on fig7, 20,301 (three blocks) all-irrational
+        self.assert_same_bytes(tmp_path, "distribution", exact_distribution(model, 200, measure=measure))
+
+    def test_distribution_edge_values(self, tmp_path):
+        # residue and mass columns share values, and one block holds both zeros
+        values = np.resize(np.array(EDGE_VALUES), B + 5)
+        dist = SimpleNamespace(residues=values, masses=values[::-1].copy())
+        self.assert_same_bytes(tmp_path, "distribution", dist)
+
+    @pytest.mark.parametrize("base", [10, 7])
+    def test_digits(self, tmp_path, base):
+        dist = exact_distribution(FIG7, 100, base=base, measure=MEASURE_LENGTH)
+        self.assert_same_bytes(tmp_path, "digits", (benford_report(dist, base).leading_digit_freqs, base))
+
+    @pytest.mark.parametrize("measure", [MEASURE_UNIFORM, MEASURE_LENGTH])
+    @pytest.mark.parametrize("figure", RATIONAL_FIGURES)
+    def test_exact_residues(self, tmp_path, figure, measure):
+        y = RATIONAL_FIGURES[figure]
+        model = proportions_from_exponents(ExponentSpec(y))
+        rows = exact_residue_distribution(y, 1000, model, measure)
+        self.assert_same_bytes(tmp_path, "exact_residues", (rows, exact_residues_rational(y, 1000).lcm))
+
+    def test_exact_residues_beyond_int64(self, tmp_path):
+        # numerators and the common denominator past 2^63, over two blocks
+        lcm = 3**50
+        rows = [(Fraction(k, lcm), 1.0 / (k + 1)) for k in range(lcm - B - 5, lcm)]
+        self.assert_same_bytes(tmp_path, "exact_residues", (rows, lcm))
