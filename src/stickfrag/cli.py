@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import __version__
@@ -61,8 +61,12 @@ def _emit(obj: dict) -> None:
 
 
 def _load_model(args: argparse.Namespace):
-    """Parse the config file; --base applies only when the file has no base."""
-    raw = read_config(args.config)
+    """Parse the config file; --base applies only when the file has no base.
+
+    The file is read once: the manifest hashes the bytes parsed here.
+    """
+    raw, data = read_config(args.config)
+    args.config_sha256 = hashlib.sha256(data).hexdigest()
     if isinstance(raw, dict) and "base" not in raw:
         raw = {**raw, "base": args.base}
     model, spec = parse_config(raw)
@@ -80,7 +84,7 @@ def _write_outputs(args: argparse.Namespace, report, writers: dict) -> int:
     outputs = ["report.json", *writers]
     manifest = {
         "command": " ".join(args.command_echo),
-        "config_sha256": hashlib.sha256(Path(args.config).read_bytes()).hexdigest(),
+        "config_sha256": args.config_sha256,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": outputs,
@@ -243,10 +247,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() reuses for the rest of the process, built on its first call, not at import.
+
+    Parsing leaves a parser unchanged and returns a new Namespace each time.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args.command_echo = ["stickfrag"] + argv
     try:
         return args.func(args)

@@ -341,18 +341,26 @@ def parse_config(data: dict) -> tuple[ProportionVector, ExponentSpec]:
     return model, spec
 
 
-def read_config(path: str | Path):
-    """The decoded JSON of a configuration file, unparsed; ConfigError if unreadable."""
+def read_config(path: str | Path) -> tuple[object, bytes]:
+    """The decoded JSON of a configuration file, unparsed, and the bytes it was
+    decoded from; ConfigError if unreadable or not UTF-8 JSON.
+
+    Line ends are translated as a text-mode read (universal newlines) does,
+    so a JSON error names the character position such a read would give.
+    """
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text), data
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
 def load_config(path: str | Path) -> tuple[ProportionVector, ExponentSpec]:
     """Load and parse a JSON model configuration file."""
-    return parse_config(read_config(path))
+    return parse_config(read_config(path)[0])

@@ -38,11 +38,25 @@ from .model import ProportionVector, log_base
 
 GENERATOR_NAME = "numpy.random.PCG64"
 _CHUNK_SAMPLES = 1 << 16
-# bytes sample_leaf_residues holds per sample, at most: the residues and the
-# merge took 63-67 B a sample with every residue distinct (2^18 and 2^20
-# samples, fixed and Dirichlet); the rest is room for the fixed-size chunk
-# buffers, which reach 91 B a sample (6 MB) in one Dirichlet chunk of 2^16
+# Upper bound on the bytes sample_leaf_residues holds at once, checked
+# against tracemalloc peaks of fixed and Dirichlet runs at m=3 and m=8, both
+# measures, every residue distinct, from 1 to 2^21 samples and 1 or 2 tasks:
+# - _SAMPLE_BYTES a sample: the residues and their merge took 63.0-64.1 B a
+#   sample from 2^19 samples up, 64-65 B at 2^18; the rest is room, as the
+#   fit stops far below the byte limit;
+# - the buffers of the chunks in flight, (17m + 40) B a row of
+#   min(samples, tasks * _CHUNK_SAMPLES): below 2^16 samples the peak grows by
+#   17m + 40 B a sample for Dirichlet `length` (the (n, m) draw, its cumsum
+#   and their comparison), 16m + 32 for Dirichlet `uniform` and 8m + 32 for
+#   fixed models, and each further task holds one more chunk.
+# Runs of a few hundred samples or less peak a few kB above the estimate
+# (under 30 kB), far below any limit the guard is meant for.
 _SAMPLE_BYTES = 80
+
+
+def _peak_sample_bytes(samples: int, m: int, tasks: int) -> int:
+    rows_in_flight = min(samples, tasks * _CHUNK_SAMPLES)
+    return samples * _SAMPLE_BYTES + rows_in_flight * (17 * m + 40)
 
 
 @dataclass(frozen=True)
@@ -129,14 +143,14 @@ def sample_leaf_residues(
     Deterministic given (config, N, base): chunk j of the sample stream is
     generated from seed sequence (seed, j) regardless of tasks, which only
     controls how many chunks run concurrently.  Before sampling,
-    ResourceLimitError refuses a run whose samples * _SAMPLE_BYTES exceeds the
+    ResourceLimitError refuses a run whose _peak_sample_bytes exceeds the
     exact engine's byte limit.
     """
     if N < 0:
         raise ValueError(f"need N >= 0, got {N}")
     if tasks < 1:
         raise ValueError("tasks must be >= 1")
-    _refuse_above_byte_limit(config.samples * _SAMPLE_BYTES, f"{config.samples} samples")
+    _refuse_above_byte_limit(_peak_sample_bytes(config.samples, config.m, tasks), f"{config.samples} samples")
     jobs = [(j, min(_CHUNK_SAMPLES, config.samples - start))
             for j, start in enumerate(range(0, config.samples, _CHUNK_SAMPLES))]
     if tasks == 1 or len(jobs) == 1:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -103,6 +104,23 @@ class TestClassify:
         assert run_cli("classify", "--config", str(tmp_path / "nope.json")).returncode == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["classify"],
+    ["analyze", "--N", "5", "--out", "o"],
+    ["brute", "--N", "5"],
+    ["simulate", "--N", "5", "--samples", "10", "--seed", "1", "--out", "o"],
+], ids=lambda command: command[0])
+def test_non_utf8_config_exits_2(tmp_path, command):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes(b'{"proportions": [0.3], "note": "\xff"}')
+    proc = run_cli(*command, "--config", str(cfg), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"config error: config {cfg} is not UTF-8: ")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 class TestAnalyze:
     def test_outputs_and_stdout(self, fig3_config, tmp_path):
         out_dir = tmp_path / "run"
@@ -124,6 +142,24 @@ class TestAnalyze:
         digits = (out_dir / "digits.csv").read_text().strip().split("\n")
         assert digits[0] == "digit,frequency,benford_expected"
         assert len(digits) == 10
+
+    def test_manifest_hashes_the_parsed_bytes(self, fig3_config, tmp_path, monkeypatch, capsys):
+        # the config is edited while the engine runs; the manifest must name
+        # the bytes that were analysed, not the file as it is afterwards
+        parsed = fig3_config.read_bytes()
+        engine = cli.exact_distribution
+
+        def edit_then_run(*args, **kwargs):
+            fig3_config.write_text(json.dumps({"proportions": [0.5]}))
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "exact_distribution", edit_then_run)
+        out_dir = tmp_path / "run"
+        assert cli.main(["analyze", "--config", str(fig3_config), "--N", "10", "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert fig3_config.read_bytes() != parsed
+        assert manifest["config_sha256"] == hashlib.sha256(parsed).hexdigest()
 
     def test_rerun_byte_identical(self, fig3_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -288,7 +324,7 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert "100 samples need an estimated 8000 bytes, above the limit of 1000 bytes" in captured.err
+        assert "100 samples need an estimated 17100 bytes, above the limit of 1000 bytes" in captured.err
         assert not (tmp_path / "s").exists()
 
 
@@ -372,6 +408,94 @@ def test_benchmark_tracing_hooks_attach():
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+class TestInProcessReuse:
+    # cli.main builds its parser once per process; calls made one after
+    # another in one process must each answer as a fresh interpreter would
+    ARGVS = [
+        ["classify", "--config", "fig3.json"],
+        ["analyze", "--config", "fig3.json", "--N", "20", "--out", "a1"],
+        ["analyze", "--N", "-1", "--config", "fig3.json", "--out", "bad"],
+        ["--help"],
+        ["brute", "--config", "fig7.json", "--N", "6", "--measure", "length"],
+        ["simulate", "--config", "fig7.json", "--N", "10", "--samples", "100", "--seed", "3", "--out", "s1"],
+        ["classify", "--help"],
+        ["classify", "--config", "fig7.json", "--max-denominator", "1000"],
+        ["analyze", "--bogus"],
+        ["analyze", "--config", "fig7.json", "--N", "30", "--measure", "length", "--out", "a2"],
+        ["simulate", "--help"],
+        ["analyze", "--config", "fig3.json", "--N", "20", "--out", "a1"],
+    ]
+
+    @staticmethod
+    def outputs(root: Path) -> dict:
+        """Every file under root by relative path; a manifest without its timestamp."""
+        files = {}
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            name = str(path.relative_to(root))
+            if path.name == "manifest.json":
+                files[name] = {**json.loads(path.read_text()), "timestamp": None}
+            else:
+                files[name] = path.read_bytes()
+        return files
+
+    def test_repeated_calls_match_fresh_runs(self, fig3_config, fig7_config, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+        inproc, fresh = tmp_path / "inproc", tmp_path / "fresh"
+        for cwd in (inproc, fresh):
+            cwd.mkdir()
+            for cfg in (fig3_config, fig7_config):
+                (cwd / cfg.name).write_bytes(cfg.read_bytes())
+        monkeypatch.chdir(inproc)
+        for argv in self.ARGVS:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            proc = run_cli(*argv, cwd=fresh)
+            assert (code, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr), argv
+            assert self.outputs(inproc) == self.outputs(fresh), argv
+
+    def test_main_builds_the_parser_once(self, fig3_config, monkeypatch, capsys):
+        built = []
+
+        def counting():
+            built.append(1)
+            return build()
+
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        for argv in (["classify", "--config", str(fig3_config)], ["brute", "--N", "-1"], ["--help"]) * 2:
+            try:
+                cli.main(argv)
+            except SystemExit:
+                pass
+        capsys.readouterr()
+        assert built == [1]
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import stickfrag.cli\n"
+            "assert built == [], built\n"
+            "stickfrag.cli.build_parser()\n"
+            "assert built, 'the count missed a parser'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestVerdictAgreement:

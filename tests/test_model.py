@@ -272,6 +272,34 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(bad)
 
+    def test_load_config_not_utf8(self, tmp_path):
+        from stickfrag import load_config
+
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"proportions": [0.3], "note": "\xff"}')
+        with pytest.raises(ConfigError, match="is not UTF-8"):
+            load_config(bad)
+
+    def test_json_error_position_as_in_text(self, tmp_path):
+        # line ends are translated as a text-mode read translates them, so
+        # the character position in the message is the text's
+        from stickfrag.model import read_config
+
+        bad = tmp_path / "crlf.json"
+        bad.write_bytes(b'{\r\n"proportions": [0.3],\r\n}')
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(bad.read_text())
+        with pytest.raises(ConfigError) as raised:
+            read_config(bad)
+        assert str(raised.value) == f"config {bad} is not valid JSON: {expected.value}"
+
+    def test_read_config_returns_the_bytes_parsed(self, tmp_path):
+        from stickfrag.model import read_config
+
+        cfg = tmp_path / "m.json"
+        cfg.write_bytes(b'{"proportions": [0.3]}\r\n')
+        assert read_config(cfg) == ({"proportions": [0.3]}, b'{"proportions": [0.3]}\r\n')
+
 
 def rational_verdict(numerator, denominator):
     return ExponentVerdict(True, numerator, denominator, numerator, max(denominator, 1), 0.0, 10, 1e-13)

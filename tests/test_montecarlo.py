@@ -29,7 +29,7 @@ from stickfrag import (
 from stickfrag import enumeration, montecarlo
 from stickfrag.benford import write_digits_csv
 from stickfrag.enumeration import _CSV_BLOCK_ROWS, _frac
-from stickfrag.montecarlo import _SAMPLE_BYTES, _sample_chunk, write_metadata_json, write_samples_csv
+from stickfrag.montecarlo import _peak_sample_bytes, _sample_chunk, write_metadata_json, write_samples_csv
 from stickfrag.oracle import brute_force_leaves, write_exact_residues_csv, write_leaves_csv
 
 
@@ -253,16 +253,17 @@ class TestConfigValidation:
 class TestByteGuard:
     def test_refuses_before_sampling(self, monkeypatch):
         config = fixed(make_model([0.3, 0.3]), samples=1000)
-        monkeypatch.setattr(enumeration, "_BYTE_LIMIT", 80_000)  # 1000 samples at 80 B fit exactly
+        # 1000 samples at m=3 fit exactly: 80 B each and 17*3 + 40 B a chunk row
+        monkeypatch.setattr(enumeration, "_BYTE_LIMIT", 171_000)
         assert len(sample_leaf_residues(config, 10)[0]) == 1000
 
         def no_sampling(*args):
             raise AssertionError("the guard should refuse before any chunk is sampled")
 
-        monkeypatch.setattr(enumeration, "_BYTE_LIMIT", 80_000 - 1)
+        monkeypatch.setattr(enumeration, "_BYTE_LIMIT", 171_000 - 1)
         monkeypatch.setattr(montecarlo, "_sample_chunk", no_sampling)
         with pytest.raises(ResourceLimitError,
-                           match="1000 samples need an estimated 80000 bytes, above the limit of 79999 bytes"):
+                           match="1000 samples need an estimated 171000 bytes, above the limit of 170999 bytes"):
             sample_leaf_residues(config, 10)
 
     @pytest.mark.parametrize(
@@ -274,12 +275,25 @@ class TestByteGuard:
         ids=["fixed", "dirichlet"],
     )
     def test_per_sample_bound_holds(self, mode, N, traced_peak):
-        # 2^18 samples, (almost) every residue distinct, so nothing merges:
-        # the residues and the merge take 64-67 B a sample; the chunk list
-        # kept beside them made that 72-75
-        n = 2**18
-        config = SamplerConfig(seed=1, samples=n, mode=mode)
-        assert traced_peak(lambda: sample_leaf_residues(config, N)) <= n * 70 < n * _SAMPLE_BYTES
+        # (almost) every residue distinct, so nothing merges.  Up to one
+        # chunk its buffers set the peak (Dirichlet `length`: 92-93 B a
+        # sample); at 2^18 samples the residues and the merge take 64-65 B a
+        # sample, where the chunk list kept beside them made that 72-75
+        for n in (2**15, 2**16, 2**18):
+            for measure in (MEASURE_UNIFORM, MEASURE_LENGTH):
+                config = SamplerConfig(seed=1, samples=n, mode=mode, measure=measure)
+                peak = traced_peak(lambda: sample_leaf_residues(config, N))
+                assert peak <= _peak_sample_bytes(n, config.m, tasks=1), (n, measure)
+                if n == 2**18:
+                    assert peak <= n * 70, measure
+
+    def test_bound_counts_each_chunk_in_flight(self, traced_peak):
+        # two tasks sample two chunks at once; at m=8 the Dirichlet `length`
+        # chunk buffers take 176 B a row
+        n = 2**17
+        config = SamplerConfig(seed=1, samples=n, mode=RandomProportions(8, (1.0,) * 8), measure=MEASURE_LENGTH)
+        peak = traced_peak(lambda: sample_leaf_residues(config, 5, tasks=2))
+        assert peak <= _peak_sample_bytes(n, 8, tasks=2)
 
 
 @pytest.mark.parametrize(
