@@ -21,6 +21,7 @@ from .benford import DEFAULT_KS_THRESHOLD, benford_report, star_discrepancy, wri
 from .enumeration import (
     MEASURE_UNIFORM,
     MEASURES,
+    _rewrite,
     exact_distribution,
     rotate_distribution,
     write_distribution_csv,
@@ -80,7 +81,8 @@ def _write_outputs(args: argparse.Namespace, report, writers: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, write in writers.items():
         write(out_dir / name)
-    (out_dir / "report.json").write_text(text + "\n")
+    with _rewrite(out_dir / "report.json") as out:
+        out.write(f"{text}\n".encode())
     outputs = ["report.json", *writers]
     manifest = {
         "command": " ".join(args.command_echo),
@@ -89,7 +91,8 @@ def _write_outputs(args: argparse.Namespace, report, writers: dict) -> int:
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": outputs,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    with _rewrite(out_dir / "manifest.json") as out:
+        out.write(f"{json.dumps(manifest, indent=2)}\n".encode())
     for name in outputs:
         target = out_dir / name
         if not target.exists() or target.stat().st_size == 0:
@@ -139,14 +142,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _log(f"{exc}; consider `stickfrag simulate` for this size")
         return EXIT_RESOURCE
     if args.length != 1.0:
-        shift = log_base(args.length, base)
-        rotated = rotate_distribution(dist, shift)
-        drift = abs(star_discrepancy(rotated) - star_discrepancy(dist))
+        # the unrotated distribution's discrepancy first, so it is freed as
+        # soon as the rotation returns
+        unrotated = star_discrepancy(dist)
+        dist = rotate_distribution(dist, log_base(args.length, base))
+        drift = abs(star_discrepancy(dist) - unrotated)
         _log(f"scale invariance check: star-discrepancy drift {drift:.3e} at L={args.length}")
         if drift > SCALE_CHECK_TOL:
             _log("scale invariance violated")
             return EXIT_VERIFY
-        dist = rotated
     report = benford_report(dist, base, args.ks_threshold)
     return _write_outputs(args, report, {
         "distribution.csv": partial(write_distribution_csv, dist),

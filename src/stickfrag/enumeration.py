@@ -17,6 +17,9 @@ only after subtracting the running maximum.
 from __future__ import annotations
 
 import math
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
@@ -103,6 +106,25 @@ def _frac(x):
     return x
 
 
+@contextmanager
+def _rewrite(path: str | Path):
+    """Open path as open(path, "wb") does, but without truncating it; when the
+    block ends, by return or by raise, cut a regular file to the bytes written.
+
+    Truncating an existing file to zero and writing it again makes ext4
+    (auto_da_alloc) flush it on close, which costs more than the write
+    itself; overwriting it in place and cutting the stale tail does not.  The
+    flags, mode and symlink-following are open(path, "wb")'s otherwise.  Only
+    a regular file is cut: ftruncate fails on /dev/null, a FIFO or a terminal.
+    """
+    with open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as out:
+        try:
+            yield out
+        finally:
+            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate()
+
+
 def _write_csv(path: str | Path, header: str, *columns) -> None:
     """Write header, then one row per index of the equal-length columns.
 
@@ -115,7 +137,7 @@ def _write_csv(path: str | Path, header: str, *columns) -> None:
     """
     width = len(columns)
     row = ",".join(["%s"] * width) + "\n"
-    with open(path, "wb") as out:
+    with _rewrite(path) as out:
         out.write(f"{header}\n".encode())
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
             block = [c[start:start + _CSV_BLOCK_ROWS] for c in columns]
@@ -171,7 +193,10 @@ def _peak_bytes(N: int, m: int) -> int:
       C(N+m-2, m-2);
     - the atom table: the composition table and the residue and log-mass
       table, 8m + 16, plus one chunk's temporaries, max(8m + 8, 40) a row;
-    - the merge: the atom table, its sorted copies and the cluster arrays, 72.
+    - the merge: the atom table, its sorted copies and the cluster arrays,
+      64.  The term is 72, which also bounds rotate_distribution on the
+      result: the unrotated distribution (16), the rotated residues (8) and
+      the merge's own arrays (48), so analyze --length stays inside it too.
     The lgamma table adds 8 B a stage, and fixed-size buffers (measured up
     to 0.25 MB) are covered by 1 MiB.
     """
@@ -341,6 +366,7 @@ def _merge_atoms(residues: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     else:
         # cluster ids from the starts: a cumsum over the mask would first
         # cast all of it to int64
+        del starts  # dead here, and the bincounts below set the merge's peak
         cid = np.repeat(np.arange(n_clusters), lens)
         mass = np.bincount(cid, weights=w, minlength=n_clusters)
         rep = np.bincount(cid, weights=r, minlength=n_clusters) / lens
@@ -414,7 +440,7 @@ def exact_distribution(
     Before any array is built, ResourceLimitError refuses a run whose peak
     estimate _peak_bytes(N, m) exceeds _BYTE_LIMIT (4 GiB).  The estimate is
     at least the traced peak of either measure, whether or not atoms merge;
-    with every atom distinct that peak is 72 B per composition at m=3-6,
+    with every atom distinct that peak is 64-65 B per composition at m=3-4,
     97 B at m=8 (N=22) and 129 B at m=10 (N=15).
 
     threads is validated (>= 1) and otherwise ignored: enumeration is

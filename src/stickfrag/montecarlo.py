@@ -31,6 +31,7 @@ from .enumeration import (
     _frac,
     _kahan_columns,
     _refuse_above_byte_limit,
+    _rewrite,
     _write_csv,
     distribution_from_residues,
 )
@@ -186,4 +187,5 @@ def write_metadata_json(config: SamplerConfig, N: int, base: int, config_echo: d
         "base": base,
         "config": config_echo,
     }
-    Path(path).write_text(json.dumps(meta, indent=2) + "\n")
+    with _rewrite(path) as out:
+        out.write(f"{json.dumps(meta, indent=2)}\n".encode())

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -199,15 +200,21 @@ class TestAnalyze:
         assert "compositions need an estimated" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("measure", ["uniform", "length"])
-    def test_whole_run_within_peak_estimate(self, measure, tmp_path, traced_peak):
-        # every atom distinct: 300,700 compositions.  The report and the
-        # writers run after the engine and must stay under its estimate; a
-        # writer that held both CSV columns as Python floats took 80.8 B a
-        # composition against 75.5
+    @pytest.mark.parametrize(
+        "measure,length",
+        [(measure, length) for length in ("1.0", "3.7") for measure in ("uniform", "length")],
+        ids=["uniform", "length", "uniform-L3.7", "length-L3.7"],
+    )
+    def test_whole_run_within_peak_estimate(self, measure, length, tmp_path, traced_peak):
+        # every atom distinct: 300,700 compositions.  The report, the
+        # writers and the --length rotation run after the engine and must
+        # stay under its estimate; a writer that held both CSV columns as
+        # Python floats took 80.8 B a composition against 75.5, and so did
+        # a rotation merged while the unrotated distribution was alive
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"exponents": [{"real": -math.sqrt(2)}, {"real": -math.sqrt(3)}]}))
-        argv = ["analyze", "--config", str(cfg), "--N", "774", "--measure", measure, "--out", str(tmp_path / "x")]
+        argv = ["analyze", "--config", str(cfg), "--N", "774", "--measure", measure, "--length", length,
+                "--out", str(tmp_path / "x")]
         codes = []
         peak = traced_peak(lambda: codes.append(cli.main(argv)))
         assert codes == [0]
@@ -326,6 +333,42 @@ class TestSimulate:
         assert captured.out == ""
         assert "100 samples need an estimated 17100 bytes, above the limit of 1000 bytes" in captured.err
         assert not (tmp_path / "s").exists()
+
+
+class TestReusedOut:
+    # a rerun into an existing --out rewrites each declared file in place;
+    # what it leaves must be byte for byte what a fresh --out gets, whatever
+    # the files held before (the manifest's timestamp aside)
+    @staticmethod
+    def run(argv, cwd, monkeypatch, capsys) -> dict:
+        """Run argv in cwd with --out run; every file it leaves in run/ by name."""
+        cwd.mkdir(exist_ok=True)
+        monkeypatch.chdir(cwd)
+        assert cli.main([*argv, "--out", "run"]) == 0
+        capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in (cwd / "run").iterdir()}
+        files["manifest.json"] = re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": null', files["manifest.json"])
+        return files
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_longer_old_outputs_end_as_fresh_ones(self, command, fig7_config, tmp_path, monkeypatch, capsys):
+        argv = [command, "--config", str(fig7_config), "--N", "30", "--measure", "length"]
+        if command == "simulate":
+            argv += ["--samples", "3000", "--seed", "5"]
+        fresh = self.run(argv, tmp_path / "fresh", monkeypatch, capsys)
+        declared = json.loads(fresh["manifest.json"])["outputs"]
+        assert set(fresh) == {*declared, "manifest.json"}
+        (tmp_path / "reused" / "run").mkdir(parents=True)
+        for name, data in fresh.items():
+            (tmp_path / "reused" / "run" / name).write_bytes(b"junk,\n" * len(data))
+        assert self.run(argv, tmp_path / "reused", monkeypatch, capsys) == fresh
+
+    def test_smaller_rerun_leaves_no_stale_tail(self, fig7_config, tmp_path, monkeypatch, capsys):
+        argv = ["analyze", "--config", str(fig7_config), "--N"]
+        big = self.run([*argv, "200"], tmp_path / "reused", monkeypatch, capsys)
+        small = self.run([*argv, "20"], tmp_path / "reused", monkeypatch, capsys)
+        assert len(small["distribution.csv"]) < len(big["distribution.csv"])
+        assert small == self.run([*argv, "20"], tmp_path / "fresh", monkeypatch, capsys)
 
 
 class TestBadFlags:

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 import timeit
 from fractions import Fraction
 
@@ -37,6 +39,7 @@ from stickfrag.enumeration import (
     _peak_bytes,
     composition_array,
 )
+from stickfrag.montecarlo import write_metadata_json, write_samples_csv
 from stickfrag.oracle import brute_force_leaves
 
 FIG7 = proportions_from_exponents(ExponentSpec((Fraction(-1, 2), -math.sqrt(2))))
@@ -558,3 +561,61 @@ class TestCsv:
         # 17 significant digits round-trip
         r0 = float(lines[1].split(",")[0])
         assert r0 == d.residues[0]
+
+
+class TestRewriteInPlace:
+    # an output file is overwritten from offset 0 and then cut to the bytes
+    # written, not truncated to zero first; to its reader the result must be
+    # what open(path, "wb") would have left
+    @pytest.fixture
+    def dist_and_bytes(self, tmp_path):
+        d = exact_distribution(make_model([0.3, 0.2]), 12)
+        fresh = tmp_path / "fresh.csv"
+        write_distribution_csv(d, fresh)
+        return d, fresh.read_bytes()
+
+    def test_public_writers_accept_dev_null(self):
+        model = make_model([0.3])
+        write_distribution_csv(exact_distribution(model, 5), os.devnull)
+        write_samples_csv(np.array([0.25, 0.5]), os.devnull)
+        write_metadata_json(SamplerConfig(seed=1, samples=2, mode=FixedProportions(model)), 5, 10, {}, os.devnull)
+
+    def test_symlink_is_written_through(self, tmp_path, dist_and_bytes):
+        d, fresh = dist_and_bytes
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"junk\n" * len(fresh))
+        link.symlink_to(target)
+        write_distribution_csv(d, link)
+        assert link.is_symlink()
+        assert target.read_bytes() == fresh
+
+    def test_existing_file_keeps_inode_and_mode(self, tmp_path, dist_and_bytes):
+        d, fresh = dist_and_bytes
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"junk\n" * len(fresh))
+        path.chmod(0o640)
+        before = path.stat()
+        write_distribution_csv(d, path)
+        after = path.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+        assert path.read_bytes() == fresh
+
+    def test_new_file_gets_the_mode_of_open_wb(self, tmp_path, dist_and_bytes):
+        d, fresh = dist_and_bytes
+        with open(tmp_path / "reference", "wb"):
+            pass
+        write_distribution_csv(d, tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").stat().st_mode == (tmp_path / "reference").stat().st_mode
+        assert (tmp_path / "new.csv").read_bytes() == fresh
+
+    def test_writer_raising_midway_leaves_only_the_new_prefix(self, tmp_path):
+        # the second block's float column cannot be converted; the first
+        # block is already written, and nothing of the old file may follow it
+        rows = enumeration._CSV_BLOCK_ROWS
+        first = tmp_path / "first.csv"
+        enumeration._write_csv(first, "x", [0.5] * rows)
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"junk\n" * len(first.read_bytes()))
+        with pytest.raises(ValueError):
+            enumeration._write_csv(path, "x", [0.5] * rows + [1.5, "not a float"])
+        assert path.read_bytes() == first.read_bytes()
