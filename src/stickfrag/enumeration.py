@@ -170,6 +170,12 @@ def _kahan_columns(K: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:
     return acc
 
 
+def _residues(K: np.ndarray, p: Sequence[float], base: int) -> np.ndarray:
+    """Residues of the rows k of K, frac(sum k_j log_base(p_j)) compensated: the
+    engine and the sampler share it, so their atoms agree bit for bit."""
+    return _frac(_kahan_columns(K, [log_base(x, base) for x in p]))
+
+
 def composition_count(N: int, m: int) -> int:
     return math.comb(N + m - 1, m - 1)
 
@@ -188,9 +194,10 @@ def _peak_bytes(N: int, m: int) -> int:
 
     Fitted to tracemalloc peaks with every atom distinct (merging only shrinks
     the merge's arrays), phase by phase, in bytes per composition row:
-    - composition_array's last level: the child table, parent and offset,
-      8m + 16, beside the previous level and its counts, 8m + 8 a row of
-      C(N+m-2, m-2);
+    - composition_array's last level: the new table, 8m, beside the previous
+      level, its counts and starts, 8m + 16 a row of C(N+m-2, m-2).  Filling
+      its remainder column next (8m + 8, plus 16 a previous row) is below
+      this term for N <= (m-1)^2 and the atom table's for N >= m-1;
     - the atom table: the composition table and the residue and log-mass
       table, 8m + 16, plus one chunk's temporaries, max(8m + 8, 40) a row;
     - the merge: the atom table, its sorted copies and the cluster arrays,
@@ -201,7 +208,7 @@ def _peak_bytes(N: int, m: int) -> int:
     to 0.25 MB) are covered by 1 MiB.
     """
     rows = composition_count(N, m)
-    last_level = (8 * m + 16) * rows + (8 * m + 8) * composition_count(N, m - 1)
+    last_level = 8 * m * rows + (8 * m + 16) * composition_count(N, m - 1)
     atom_table = (8 * m + 16) * rows + max(8 * m + 8, 40) * min(rows, _CHUNK_ROWS)
     return max(last_level, atom_table, 72 * rows) + 8 * (N + 1) + (1 << 20)
 
@@ -238,10 +245,10 @@ def composition_array(N: int, m: int) -> np.ndarray:
     Built one column (level) at a time with vectorised steps.  Each partial
     row carries rem, what is left of N for its remaining parts, in the column
     after its last decided part.  Level 1 is k1 = N..0.  At each middle level
-    every partial row with remainder r expands into r+1 children (np.repeat),
-    whose next part runs r..0, so children stay grouped under their parent in
-    descending order.  The last part takes whatever remains.  Each level is
-    gathered into one (rows, m) array, so the last level is the result.
+    a row with remainder r is copied whole r+1 times (np.repeat); copy i takes
+    r - i as its part and i as its remainder, so copies stay grouped under
+    their row in descending order.  The last part is the last remainder.
+    _peak_bytes gives what a level holds.
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
@@ -252,18 +259,12 @@ def composition_array(N: int, m: int) -> np.ndarray:
     K[:, 1] = np.arange(N + 1)
     for j in range(1, m - 1):
         counts = K[:, j] + 1
-        parent = np.repeat(np.arange(len(K), dtype=np.int64), counts)
-        # child i of a parent with remainder r takes r - i and leaves i
-        offset = np.arange(len(parent), dtype=np.int64)
-        offset -= (np.cumsum(counts) - counts)[parent]
-        child = np.empty((len(parent), m), dtype=np.int64)
-        child[:, j + 1] = offset
-        del offset
-        for i in range(j + 1):
-            child[:, i] = K[parent, i]
-        del parent
-        child[:, j] -= child[:, j + 1]
-        K = child
+        starts = np.cumsum(counts) - counts
+        K = np.repeat(K, counts, axis=0)
+        # copy i of its row: its index minus the index of the row's first copy
+        K[:, j + 1] = np.arange(len(K))
+        K[:, j + 1] -= np.repeat(starts, counts)
+        K[:, j] -= K[:, j + 1]
     return K
 
 
@@ -416,7 +417,7 @@ def _atom_table(
     """
     N = int(K[0].sum())
     m = K.shape[1]
-    out[0] = _frac(_kahan_columns(K, [log_base(p, base) for p in model.p]))
+    out[0] = _residues(K, model.p, base)
     for measure, logmass in zip(measures, out[1:]):
         if measure == MEASURE_UNIFORM:
             np.subtract(logmult, N * math.log(m), out=logmass)
@@ -441,7 +442,7 @@ def exact_distribution(
     estimate _peak_bytes(N, m) exceeds _BYTE_LIMIT (4 GiB).  The estimate is
     at least the traced peak of either measure, whether or not atoms merge;
     with every atom distinct that peak is 64-65 B per composition at m=3-4,
-    97 B at m=8 (N=22) and 129 B at m=10 (N=15).
+    86 B at m=8 (N=22) and 116 B at m=10 (N=15).
 
     threads is validated (>= 1) and otherwise ignored: enumeration is
     single-threaded, because splitting the atom table over threads did not
@@ -488,7 +489,8 @@ def exact_distribution(
 
 def rotate_distribution(dist: WeightedMod1Distribution, shift: float) -> WeightedMod1Distribution:
     """Rotate every residue by shift mod 1 (a global rescaling of lengths)."""
-    rotated = _frac(dist.residues + shift)
+    # fmod is exact; adding the raw shift would round each residue to the shift's ulp
+    rotated = _frac(dist.residues + math.fmod(shift, 1.0))
     return build_distribution(rotated, dist.masses, dist.measure, dist.N, dist.m)
 
 

@@ -29,8 +29,8 @@ from .enumeration import (
     MEASURES,
     WeightedMod1Distribution,
     _frac,
-    _kahan_columns,
     _refuse_above_byte_limit,
+    _residues,
     _rewrite,
     _write_csv,
     distribution_from_residues,
@@ -114,25 +114,21 @@ def _sample_chunk(config: SamplerConfig, N: int, base: int, chunk_index: int, n:
     if isinstance(config.mode, FixedProportions):
         p = config.mode.model.p
         probs = np.full(m, 1.0 / m) if config.measure == MEASURE_UNIFORM else np.array(p)
-        counts = rng.multinomial(N, probs, size=n)
-        # same logs and compensated summation as the enumeration engine, so
-        # sampled atoms land bit-identically on the enumerated ones
-        total = _kahan_columns(counts, [log_base(x, base) for x in p])
-    else:
-        alpha = np.array(config.mode.concentration)
-        total = np.zeros(n)
-        # flat offset of each row in the C-contiguous (n, m) draw, so one
-        # 1-d gather picks each row's coordinate
-        rows = np.arange(n) * m
-        for _ in range(N):
-            P = rng.dirichlet(alpha, size=n)
-            if config.measure == MEASURE_UNIFORM:
-                idx = rng.integers(0, m, size=n)
-            else:
-                u = rng.random(n)
-                idx = np.minimum((P.cumsum(axis=1) < u[:, None]).sum(axis=1), m - 1)
-            chosen = P.ravel()[idx + rows]
-            total += log_base(chosen, base)
+        return _residues(rng.multinomial(N, probs, size=n), p, base)
+    alpha = np.array(config.mode.concentration)
+    total = np.zeros(n)
+    # flat offset of each row in the C-contiguous (n, m) draw, so one
+    # 1-d gather picks each row's coordinate
+    rows = np.arange(n) * m
+    for _ in range(N):
+        P = rng.dirichlet(alpha, size=n)
+        if config.measure == MEASURE_UNIFORM:
+            idx = rng.integers(0, m, size=n)
+        else:
+            u = rng.random(n)
+            idx = np.minimum((P.cumsum(axis=1) < u[:, None]).sum(axis=1), m - 1)
+        chosen = P.ravel()[idx + rows]
+        total += log_base(chosen, base)
     return _frac(total)
 
 

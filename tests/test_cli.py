@@ -242,6 +242,16 @@ class TestAnalyze:
         report = json.loads(proc.stdout)
         assert report["verdict"] == "Inconsistent"
 
+    @pytest.mark.parametrize("length", ["10", "1e15"])
+    def test_whole_power_length_keeps_default_bytes(self, length, fig7_config, tmp_path):
+        # log10 L is a whole number, so the rotation is the identity
+        plain, scaled = tmp_path / "plain", tmp_path / "scaled"
+        argv = ["analyze", "--config", str(fig7_config), "--N", "60", "--measure", "length"]
+        assert cli.main([*argv, "--out", str(plain)]) == 0
+        assert cli.main([*argv, "--out", str(scaled), "--length", length]) == 0
+        for name in ("report.json", "distribution.csv", "digits.csv"):
+            assert (plain / name).read_bytes() == (scaled / name).read_bytes()
+
     def test_base_flag_matches_config_base(self, tmp_path):
         plain, based = tmp_path / "plain.json", tmp_path / "based.json"
         plain.write_text(json.dumps({"proportions": [0.3, 0.3]}))

@@ -131,13 +131,14 @@ class TestCompositions:
         [(6, 2), (5, 3), (4, 4), (3, 5), (0, 3),
          (0, 2), (1, 2), (37, 2),  # m=2: no middle level
          (0, 4), (0, 5), (0, 6), (10, 6),
-         (200, 3), (40, 4)],  # the benchmark's shapes
+         (200, 3), (40, 4),  # the benchmark's shapes
+         (3, 8), (0, 10), (4, 10)],
     )
     def test_array_matches_stream(self, N, m):
         arr = composition_array(N, m)
         assert arr.tolist() == [list(c.k) for c in compositions(N, m)]
 
-    @pytest.mark.parametrize("N,m", [(1000, 3), (100, 4)])
+    @pytest.mark.parametrize("N,m", [(1000, 3), (100, 4), (12, 8)])
     def test_array_properties_at_scale(self, N, m):
         # every row a composition of N, rows strictly descending
         # lexicographically, and as many rows as compositions: together these
@@ -152,6 +153,14 @@ class TestCompositions:
         first = np.argmax(nonzero, axis=1)
         assert np.all(nonzero.any(axis=1))
         assert np.all(diff[np.arange(len(diff)), first] > 0)
+
+    @pytest.mark.parametrize("m,N", [(3, 1000), (8, 22), (10, 15)])
+    def test_array_working_set(self, m, N, traced_peak):
+        # a middle level holds the new table beside the previous level, its
+        # counts and starts; filling the remainder column then adds 8 B a row
+        rows, prev = composition_count(N, m), composition_count(N, m - 1)
+        bound = max(8 * m * rows + (8 * m + 16) * prev, (8 * m + 8) * rows + 16 * prev)
+        assert traced_peak(lambda: composition_array(N, m)) <= bound + 64 * 1024
 
 
 class TestLogMultinomial:
@@ -311,7 +320,7 @@ class TestExactDistribution:
 
     @pytest.mark.parametrize("m,N", [(3, 14_000), (10, 27), (4, 2000)], ids=["m3-N14000", "m10-N27", "fig5-N2000"])
     def test_refusal_allocates_nothing(self, m, N, monkeypatch, traced_peak):
-        # 7.1, 11 and 96 GB by the estimate; the refusal is closed-form arithmetic before any array
+        # 7.1, 9.8 and 96 GB by the estimate; the refusal is closed-form arithmetic before any array
         def no_table(N, m):
             raise AssertionError("the guard should refuse before the composition table")
 
@@ -329,16 +338,17 @@ class TestExactDistribution:
         "model,N",
         [
             *((ProportionVector(tuple(np.random.default_rng(m).dirichlet(np.ones(m)))), N)
-              for m, N in ((2, 300_000), (3, 774), (4, 120), (6, 30), (8, 17), (10, 12))),
+              for m, N in ((2, 300_000), (3, 774), (4, 120), (6, 30), (8, 17), (10, 12), (10, 15))),
             (FIG7, 774),
             (FIG9, 120),
         ],
-        ids=["m2", "m3", "m4", "m6", "m8", "m10", "fig7", "fig9"],
+        ids=["m2", "m3", "m4", "m6", "m8", "m10", "m10-N15", "fig7", "fig9"],
     )
     @pytest.mark.parametrize("measure", MEASURES)
     def test_peak_estimate_bounds_traced_peak(self, model, N, measure, traced_peak):
         # about 3e5 compositions each: every atom distinct on the random
-        # models, merging on fig7 and fig9, whose peak is lower
+        # models, merging on fig7 and fig9, whose peak is lower.  m10-N15
+        # (1.3e6) is where the table's last level sets the peak
         peak = traced_peak(lambda: exact_distribution(model, N, measure=measure))
         assert peak <= _peak_bytes(N, model.m) <= 1.5 * peak
 
@@ -535,6 +545,33 @@ class TestMergeAtoms:
 
 
 class TestRotation:
+    @pytest.fixture
+    def dist(self):
+        # residues with all 53 bits in use, unlike an exact distribution's,
+        # whose fractional parts keep only the bits of |sum k_j log p_j|
+        rng = np.random.default_rng(5)
+        masses = rng.random(1000)
+        return WeightedMod1Distribution(np.sort(rng.random(1000)), masses / masses.sum(), MEASURE_UNIFORM, 1, 2)
+
+    @pytest.mark.parametrize("k", [1, 15, 308, -300])
+    def test_whole_shift_keeps_bits(self, dist, k):
+        r = rotate_distribution(dist, float(k))
+        assert np.array_equal(r.residues, dist.residues)
+        assert np.array_equal(r.masses, dist.masses)
+
+    @pytest.mark.parametrize("shift", [math.log10(3e-300), math.log10(7.3e250), 15.3])
+    def test_matches_exact_rotation(self, dist, shift):
+        # the shift is reduced mod 1 exactly, so each residue is rounded at
+        # most twice (the add, and the wrap into [0, 1)); adding the raw
+        # shift rounded it to the ulp of the shift, 2.8e-14 at 308
+        r = rotate_distribution(dist, shift)
+        exact = [(Fraction(x) + Fraction(shift)) % 1 for x in dist.residues.tolist()]
+        order = sorted(range(dist.atoms), key=exact.__getitem__)
+        assert np.array_equal(r.masses, dist.masses[order])
+        for got, i in zip(r.residues.tolist(), order):
+            err = abs(Fraction(got) - exact[i])
+            assert min(err, 1 - err) <= 1.2e-16
+
     def test_round_trip(self):
         d = exact_distribution(make_model([0.3, 0.2]), 20)
         r = rotate_distribution(rotate_distribution(d, 0.3), -0.3)
