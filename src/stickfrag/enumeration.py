@@ -176,6 +176,28 @@ def _residues(K: np.ndarray, p: Sequence[float], base: int) -> np.ndarray:
     return _frac(_kahan_columns(K, [log_base(x, base) for x in p]))
 
 
+def _row_sums(T: np.ndarray) -> np.ndarray:
+    """T.sum(axis=1) bit for bit, for a 2-d float64 T of lgamma values.
+
+    Below 8 columns the columns are added in order into T[:, 0], which is
+    returned: T is overwritten, and no second (rows, m) table is allocated.
+    numpy reduces each row with its own pairwise-sum call, which for short
+    rows costs several times the adds (m=3: 0.60 against 0.15 ms for
+    20,301 rows).  A row shorter than 8 it adds in order, starting from
+    +0.0, so the column adds give the same bits unless a row starts with
+    -0.0.  An lgamma table holds no -0.0 (lgamma(1) = lgamma(2) = +0.0).
+    From 8 columns numpy keeps 8 accumulators.  A port of that order
+    matched it bit for bit but was slower per 131,072-row chunk (m=10: 8.8
+    against 7.7 ms; m=200: 3x), so there numpy's reduction stays.
+    """
+    if T.shape[1] >= 8:
+        return T.sum(axis=1)
+    s = T[:, 0]
+    for j in range(1, T.shape[1]):
+        s += T[:, j]
+    return s
+
+
 def composition_count(N: int, m: int) -> int:
     return math.comb(N + m - 1, m - 1)
 
@@ -298,7 +320,7 @@ def atom_for(
     K = np.array([counts], dtype=np.int64)
     lg_parts = np.array([[math.lgamma(c + 1) for c in counts]])
     out = np.empty((1 + len(MEASURES), 1))
-    _atom_table(K, math.lgamma(sum(counts) + 1) - lg_parts.sum(axis=1), model, base, MEASURES, out)
+    _atom_table(K, math.lgamma(sum(counts) + 1) - _row_sums(lg_parts), model, base, MEASURES, out)
     residue, log_mass_uniform, log_mass_length = out[:, 0].tolist()
     return residue, log_mass_uniform, log_mass_length
 
@@ -469,7 +491,7 @@ def exact_distribution(
     table = np.empty((2, len(K)))
     for i in range(0, len(K), _CHUNK_ROWS):
         c = K[i:i + _CHUNK_ROWS]
-        _atom_table(c, lgt[N] - lgt[c].sum(axis=1), model, base, (measure,), table[:, i:i + len(c)])
+        _atom_table(c, lgt[N] - _row_sums(lgt[c]), model, base, (measure,), table[:, i:i + len(c)])
     del K, c  # c is a view that would keep the composition table alive
     residues, logmass = table
     peak = float(logmass.max())

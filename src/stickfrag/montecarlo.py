@@ -47,9 +47,10 @@ _CHUNK_SAMPLES = 1 << 16
 #   fit stops far below the byte limit;
 # - the buffers of the chunks in flight, (17m + 40) B a row of
 #   min(samples, tasks * _CHUNK_SAMPLES): below 2^16 samples the peak grows by
-#   17m + 40 B a sample for Dirichlet `length` (the (n, m) draw, its cumsum
-#   and their comparison), 16m + 32 for Dirichlet `uniform` and 8m + 32 for
-#   fixed models, and each further task holds one more chunk.
+#   16m + 40 B a sample for Dirichlet `length` (one stage's (n, m) draw
+#   beside the next one's, and the uniforms of the pick), 16m + 32 for
+#   Dirichlet `uniform` and 8m + 32 for fixed models, and each further task
+#   holds one more chunk; the term, 17m + 40, is above each of these.
 # Runs of a few hundred samples or less peak a few kB above the estimate
 # (under 30 kB), far below any limit the guard is meant for.
 _SAMPLE_BYTES = 80
@@ -125,8 +126,16 @@ def _sample_chunk(config: SamplerConfig, N: int, base: int, chunk_index: int, n:
         if config.measure == MEASURE_UNIFORM:
             idx = rng.integers(0, m, size=n)
         else:
+            # the first j whose running sum P_0 + ... + P_j reaches u, or
+            # m - 1; the sum is added in cumsum's order, one column at a
+            # time, so no (n, m) table is built
             u = rng.random(n)
-            idx = np.minimum((P.cumsum(axis=1) < u[:, None]).sum(axis=1), m - 1)
+            acc = P[:, 0].copy()
+            idx = (acc < u).astype(np.intp)
+            for j in range(1, m - 1):
+                acc += P[:, j]
+                idx += acc < u
+            del acc  # not held through the next stage's draw
         chosen = P.ravel()[idx + rows]
         total += log_base(chosen, base)
     return _frac(total)

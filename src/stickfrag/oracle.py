@@ -34,6 +34,10 @@ from .enumeration import (
 from .errors import ResourceLimitError
 from .model import ProportionVector, exponent_entry, log_base
 
+# brute_force_leaves refuses above this many leaves.  cross_check, the
+# oracle's largest caller, peaks at 41 B a leaf (33 for `uniform`) in the
+# merge of the brute-force atoms, and its tests hold it to 48 B, so 10^7
+# leaves stay near 0.5 GB, below the exact engine's _BYTE_LIMIT (4 GiB)
 BRUTE_FORCE_GUARD = 10**7
 # exact_residue_distribution's limit on its work estimate (see there): it
 # accepts fig3-fig6 at N=10^5, and length calls at the limit take 1.4-4.3 s

@@ -220,18 +220,21 @@ class TestAtomFor:
         )
 
     def test_bit_identical_to_table_rows(self):
-        # the table as exact_distribution builds it, from its lgamma table of N + 1 values
-        model = make_model([0.17, 0.52])
-        N = 300
-        K = composition_array(N, 3)
-        lgt = np.array([math.lgamma(i + 1) for i in range(N + 1)])
-        for base in (10, 7):
-            table = np.empty((1 + len(MEASURES), len(K)))
-            _atom_table(K, lgt[N] - lgt[K].sum(axis=1), model, base, MEASURES, table)
-            residues, lu, ll = table
-            for i in np.random.default_rng(3).choice(len(K), 200, replace=False).tolist() + [0, len(K) - 1]:
-                got = np.array(atom_for(model, K[i].tolist(), base))
-                assert np.array_equal(got.view(np.int64), np.array([residues[i], lu[i], ll[i]]).view(np.int64))
+        # the table as exact_distribution builds it, from its lgamma table of
+        # N + 1 values; m=3 and m=5 take _row_sums' column adds, m=8 numpy's
+        # reduction, and the plain row sum is the independent reference
+        for p, N in (([0.17, 0.52], 300), ([0.17, 0.22, 0.08, 0.31], 30),
+                     ([0.17, 0.05, 0.22, 0.08, 0.11, 0.09, 0.13], 12)):
+            model = make_model(p)
+            K = composition_array(N, model.m)
+            lgt = np.array([math.lgamma(i + 1) for i in range(N + 1)])
+            for base in (10, 7):
+                table = np.empty((1 + len(MEASURES), len(K)))
+                _atom_table(K, lgt[N] - lgt[K].sum(axis=1), model, base, MEASURES, table)
+                residues, lu, ll = table
+                for i in np.random.default_rng(3).choice(len(K), 200, replace=False).tolist() + [0, len(K) - 1]:
+                    got = np.array(atom_for(model, K[i].tolist(), base))
+                    assert np.array_equal(got.view(np.int64), np.array([residues[i], lu[i], ll[i]]).view(np.int64))
 
     def test_factorization_identity(self):
         # sum k_j log p_j == k1 log(p1/p2) + (k1+k2) log(p2/p3) + ... + N log pm
@@ -248,6 +251,39 @@ class TestAtomFor:
                 s * math.log10(model.p[i] / model.p[i + 1]) for i, s in enumerate(partial)
             ) + N * math.log10(model.p[-1])
             assert direct == pytest.approx(tele, abs=1e-9)
+
+
+class TestRowSums:
+    @pytest.fixture(params=range(2, 13), ids=lambda m: f"m{m}")
+    def tables(self, request):
+        m = request.param
+        rng = np.random.default_rng(m)
+        lgt = np.array([math.lgamma(i + 1) for i in range(5001)])
+        # gathers of lgamma values (+0.0 at 0 and 1), and positive doubles
+        # with full-precision bits over twenty decades
+        return [
+            lgt[rng.integers(0, len(lgt), size=(4000, m))],
+            lgt[composition_array(6, m)],
+            rng.random((4000, m)) * 10.0 ** rng.uniform(-10, 10, size=(4000, m)),
+        ]
+
+    def test_bit_identical_to_numpy_row_sum(self, tables):
+        for T in tables:
+            want = T.sum(axis=1)
+            assert np.array_equal(bits(enumeration._row_sums(T)), bits(want))
+
+    def test_adds_in_place(self, tables, traced_peak):
+        for T in tables:
+            rows, m = T.shape
+            before = T.copy()
+            got = []
+            peak = traced_peak(lambda: got.append(enumeration._row_sums(T)))
+            if m < 8:
+                # the sums land in T's first column; nothing else is allocated
+                assert np.shares_memory(got[0], T) and peak < 1024
+                assert np.array_equal(bits(T[:, 1:]), bits(before[:, 1:]))
+            else:
+                assert np.array_equal(bits(T), bits(before)) and peak <= 8 * rows + 1024
 
 
 class TestExactDistribution:

@@ -181,7 +181,9 @@ class TestRandomProportions:
     @pytest.mark.parametrize("N", [0, 1, 25])
     @pytest.mark.parametrize("base", [10, 7])
     @pytest.mark.parametrize("measure", [MEASURE_UNIFORM, MEASURE_LENGTH])
-    @pytest.mark.parametrize("alpha", [(1.0, 1.0, 1.0), (2.0, 3.0)], ids=["m3", "m2"])
+    @pytest.mark.parametrize(
+        "alpha", [(1.0, 1.0, 1.0), (2.0, 3.0), (0.5, 1.0, 2.0, 3.0, 0.7)], ids=["m3", "m2", "m5"]
+    )
     def test_stream_matches_reference(self, alpha, measure, base, N):
         cfg = SamplerConfig(seed=11, samples=1, mode=RandomProportions(len(alpha), alpha), measure=measure)
         got = _sample_chunk(cfg, N, base, 2, 3000)
@@ -276,7 +278,7 @@ class TestByteGuard:
     )
     def test_per_sample_bound_holds(self, mode, N, traced_peak):
         # (almost) every residue distinct, so nothing merges.  Up to one
-        # chunk its buffers set the peak (Dirichlet `length`: 92-93 B a
+        # chunk its buffers set the peak (Dirichlet `length`: 88 B a
         # sample); at 2^18 samples the residues and the merge take 64-65 B a
         # sample, where the chunk list kept beside them made that 72-75
         for n in (2**15, 2**16, 2**18):
@@ -289,7 +291,7 @@ class TestByteGuard:
 
     def test_bound_counts_each_chunk_in_flight(self, traced_peak):
         # two tasks sample two chunks at once; at m=8 the Dirichlet `length`
-        # chunk buffers take 176 B a row
+        # chunk buffers take 168 B a row
         n = 2**17
         config = SamplerConfig(seed=1, samples=n, mode=RandomProportions(8, (1.0,) * 8), measure=MEASURE_LENGTH)
         peak = traced_peak(lambda: sample_leaf_residues(config, 5, tasks=2))
