@@ -42,6 +42,11 @@ ALIGN_TOL = 1e-9  # atoms of two distributions this close are one location
 _BYTE_LIMIT = 4 << 30
 _CHUNK_ROWS = 1 << 17
 _CSV_BLOCK_ROWS = 1 << 13
+# _merge_atoms sums a cluster of at least this many atoms from its own slice,
+# a shorter one through a gather: the slice's two reductions cost about 5 us
+# a cluster, the gather about 6 ns an atom, so they cross near 1,000 atoms
+# (2 vCPU, numpy 2.4.6)
+_SLICE_MIN_LEN = 1024
 
 
 class Composition(NamedTuple):
@@ -95,12 +100,15 @@ class WeightedMod1Distribution:
 def _frac(x):
     """Fractional part mapped into [0, 1); values within MERGE_TOL of 1 snap to 0.
 
-    A scalar gives a float.  An array is overwritten with the result, which is
-    returned: callers pass a buffer they own, so no second one is allocated.
+    A scalar gives a float, bit for bit the array path's; it must be finite.
+    An array is overwritten with the result, which is returned: callers pass
+    a buffer they own, so no second one is allocated.
     """
     if np.ndim(x) == 0:
-        r = x - np.floor(x)
-        return 0.0 if (1.0 - r) <= MERGE_TOL else float(r)
+        r = x - math.floor(x)
+        # r == 0.0 also catches -0.0 - 0, which is -0.0 where the array
+        # path's -0.0 - np.floor(-0.0) is +0.0
+        return 0.0 if r == 0.0 or (1.0 - r) <= MERGE_TOL else float(r)
     np.subtract(x, np.floor(x), out=x)
     x[(1.0 - x) <= MERGE_TOL] = 0.0
     return x
@@ -361,8 +369,19 @@ def _merge_atoms(residues: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     here (no -0.0 among them), so the sorted residues are the stable
     order's; the weights are interchangeable, so every sum over them is the
     same bit for bit, and no permutation is built or gathered by.
+
+    Up to 4096 clusters, each one's residues and weights get their own
+    pairwise sum, which keeps roundoff ~eps*log(n); clusters of one length L
+    are summed together.  From _SLICE_MIN_LEN atoms each cluster's slice of
+    the sorted arrays is reduced where it lies, with no index array; below
+    it, one (k, L) gather is reduced by rows.  Equal weights are not
+    gathered at all: each cluster's mass is the sum of np.full(L, w), made
+    once per length.  numpy blocks the pairwise sum of a C-contiguous row
+    the same way whether it is a 1-d slice, a row of a 2-d reduction or a
+    fresh array, so each way gives the bits of the cluster's own slice sum.
     """
-    if weights.strides == (0,):
+    equal = weights.strides == (0,)
+    if equal:
         r = np.sort(residues)
         w = weights
     else:
@@ -374,17 +393,23 @@ def _merge_atoms(residues: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     lens = np.diff(starts, append=len(r))
     n_clusters = len(starts)
     if n_clusters <= 4096:
-        # few big clusters: per-cluster pairwise sums keep roundoff ~eps*log(n).
-        # Clusters of one length L are summed in one reduction over a (k, L)
-        # gather; each gathered row is C-contiguous, so numpy blocks its sum
-        # exactly as it would the 1-d slice, and the result is bit-identical.
         mass = np.empty(n_clusters)
         rep_sums = np.empty(n_clusters)
         by_len = np.argsort(lens, kind="stable")
         for sel in np.split(by_len, np.flatnonzero(np.diff(lens[by_len])) + 1):
-            rows = starts[sel][:, None] + np.arange(lens[sel[0]])
-            mass[sel] = np.add.reduce(w[rows], axis=1)
-            rep_sums[sel] = np.add.reduce(r[rows], axis=1)
+            L = int(lens[sel[0]])
+            if L >= _SLICE_MIN_LEN:
+                firsts = starts[sel].tolist()
+
+                def cluster_sums(x):
+                    return [np.add.reduce(x[s:s + L]) for s in firsts]
+            else:
+                rows = starts[sel][:, None] + np.arange(L)
+
+                def cluster_sums(x):
+                    return np.add.reduce(x[rows], axis=1)
+            rep_sums[sel] = cluster_sums(r)
+            mass[sel] = np.add.reduce(np.full(L, w[0])) if equal else cluster_sums(w)
         rep = rep_sums / lens
     else:
         # cluster ids from the starts: a cumsum over the mask would first

@@ -47,10 +47,11 @@ _CHUNK_SAMPLES = 1 << 16
 #   fit stops far below the byte limit;
 # - the buffers of the chunks in flight, (17m + 40) B a row of
 #   min(samples, tasks * _CHUNK_SAMPLES): below 2^16 samples the peak grows by
-#   16m + 40 B a sample for Dirichlet `length` (one stage's (n, m) draw
-#   beside the next one's, and the uniforms of the pick), 16m + 32 for
-#   Dirichlet `uniform` and 8m + 32 for fixed models, and each further task
-#   holds one more chunk; the term, 17m + 40, is above each of these.
+#   8m + 42 B a sample for Dirichlet `length` (one stage's (n, m) draw, the
+#   running total and row offsets, and the uniforms, running sum and
+#   indices of the pick), 8m + 40 for Dirichlet `uniform` and 8m + 32 for
+#   fixed models, and each further task holds one more chunk; the term,
+#   17m + 40, is above each of these.
 # Runs of a few hundred samples or less peak a few kB above the estimate
 # (under 30 kB), far below any limit the guard is meant for.
 _SAMPLE_BYTES = 80
@@ -135,9 +136,11 @@ def _sample_chunk(config: SamplerConfig, N: int, base: int, chunk_index: int, n:
             for j in range(1, m - 1):
                 acc += P[:, j]
                 idx += acc < u
-            del acc  # not held through the next stage's draw
-        chosen = P.ravel()[idx + rows]
-        total += log_base(chosen, base)
+            del acc, u
+        idx += rows
+        total += log_base(P.ravel()[idx], base)
+        # only total and rows are held through the next stage's draw
+        del P, idx
     return _frac(total)
 
 

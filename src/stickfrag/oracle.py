@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -115,21 +117,36 @@ def brute_force_leaves(model: ProportionVector, N: int) -> LeafList:
     return LeafList(lengths, model.m, N)
 
 
-def _rational_pairs(y) -> list[tuple[int, int]]:
+def _rational_pairs(y) -> tuple[tuple[int, int], ...]:
     pairs = []
     for entry in map(exponent_entry, y):
         if not isinstance(entry, Fraction):
             raise ValueError(f"exponent {entry!r} is not an exact rational")
         pairs.append((entry.numerator, entry.denominator))
-    return pairs
+    return tuple(pairs)
 
 
-def _class_shifts(pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
+@lru_cache(maxsize=64)
+def _class_shifts(pairs: tuple[tuple[int, int], ...]) -> tuple[int, tuple[int, ...]]:
     """L = lcm(b_i), and the shift u_j = sum_{i>=j} a_i (L/b_i) mod L that a cut
-    into child j adds to a stick's residue class u/L (the last child's is 0)."""
+    into child j adds to a stick's residue class u/L (the last child's is 0).
+
+    Cached: the residue scans call it with the same pairs for every N, and
+    the result is immutable, so the oracles share it."""
     lcm = math.lcm(*(b for _, b in pairs))
     steps = [a * (lcm // b) for a, b in pairs]
-    return lcm, [sum(steps[j:]) % lcm for j in range(len(pairs) + 1)]
+    return lcm, tuple(sum(steps[j:]) % lcm for j in range(len(pairs) + 1))
+
+
+_FRACTION_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_FRACTION_CACHE_SIZE)
+def _class_fraction(v: int, lcm: int) -> Fraction:
+    """The residue class v/lcm as a Fraction in lowest terms, built once per
+    (v, lcm) while it stays in the cache; a Fraction is immutable, so every
+    walk with the same lcm shares it."""
+    return Fraction(v, lcm)
 
 
 def exact_residues_rational(y, N: int, base_offset: float = 0.0) -> ExactResidueSet:
@@ -141,9 +158,17 @@ def exact_residues_rational(y, N: int, base_offset: float = 0.0) -> ExactResidue
     layers only grow and the walk ends after N layers or at the first that
     adds no class.  count <= L <= prod b_i, and count = L once N >= L - 1
     (the shifts generate Z_L).  Exact integer arithmetic; no float merging.
+    base_offset must be finite (ValueError otherwise).
+
+    The residues are shared, immutable Fraction objects: each class u/L is
+    built once and kept in a bounded cache (_class_fraction), so calls with
+    the same L return the same objects while they stay in it.  A walk that
+    reaches more classes than the cache holds builds its own.
     """
     if N < 0:
         raise ValueError(f"need N >= 0, got {N}")
+    if not math.isfinite(base_offset):
+        raise ValueError(f"base_offset must be finite, got {base_offset!r}")
     pairs = _rational_pairs(y)
     lcm, shifts = _class_shifts(pairs)
     seen, frontier = {0}, {0}
@@ -152,7 +177,10 @@ def exact_residues_rational(y, N: int, base_offset: float = 0.0) -> ExactResidue
         if not frontier:
             break
         seen |= frontier
-    residues = tuple(Fraction(v, lcm) for v in sorted(seen))
+    # a walk that reaches more classes than the cache holds would evict each
+    # of its own before reusing it, so it builds them directly
+    fraction = _class_fraction if len(seen) <= _FRACTION_CACHE_SIZE else Fraction
+    residues = tuple(map(fraction, sorted(seen), repeat(lcm)))
     return ExactResidueSet(
         residues=residues,
         count=len(residues),

@@ -33,6 +33,7 @@ from stickfrag import enumeration
 from stickfrag.enumeration import (
     MEASURES,
     MERGE_TOL,
+    _SLICE_MIN_LEN,
     _atom_table,
     _frac,
     _merge_atoms,
@@ -436,6 +437,17 @@ class TestExactDistribution:
             assert abs(d.residues[i] - r) < 1e-9
 
 
+@pytest.mark.parametrize("x", [2.25, -0.75, 1 - 5e-13, -1e-13, -0.0, 5e-324, 1e15 + 0.5])
+def test_scalar_frac_matches_array_path(x):
+    # 1 - 5e-13 and -1e-13 land within MERGE_TOL of 1 and snap to 0; -0.0
+    # must give +0.0, as the array path's -0.0 - floor(-0.0) does
+    expected = _frac(np.array([x]))[0]
+    for scalar in (x, np.float64(x)):
+        got = _frac(scalar)
+        assert type(got) is float
+        assert got.hex() == float(expected).hex()
+
+
 class TestDistributionValidation:
     @pytest.mark.parametrize(
         "residues,masses",
@@ -484,8 +496,10 @@ CLUSTER_LENS = [
     [100_000],  # one big cluster
     [100_000, 100_000, 9],  # two big clusters of one length
     [1] * 2000,  # singletons
+    # lengths on both sides of the bound from which clusters are summed as slices
+    [_SLICE_MIN_LEN - 1] * 3 + [_SLICE_MIN_LEN] * 3 + [_SLICE_MIN_LEN + 1] * 2 + [5] * 50,
 ]
-CLUSTER_IDS = ["shared", "distinct", "big", "big-pair", "singletons"]
+CLUSTER_IDS = ["shared", "distinct", "big", "big-pair", "singletons", "slice-bound"]
 
 
 def equal_weight_merge_matches_reference(residues, c):

@@ -278,7 +278,7 @@ class TestByteGuard:
     )
     def test_per_sample_bound_holds(self, mode, N, traced_peak):
         # (almost) every residue distinct, so nothing merges.  Up to one
-        # chunk its buffers set the peak (Dirichlet `length`: 88 B a
+        # chunk its buffers set the peak (Dirichlet `length`: 66 B a
         # sample); at 2^18 samples the residues and the merge take 64-65 B a
         # sample, where the chunk list kept beside them made that 72-75
         for n in (2**15, 2**16, 2**18):
@@ -291,11 +291,23 @@ class TestByteGuard:
 
     def test_bound_counts_each_chunk_in_flight(self, traced_peak):
         # two tasks sample two chunks at once; at m=8 the Dirichlet `length`
-        # chunk buffers take 168 B a row
+        # chunk buffers take 106 B a row
         n = 2**17
         config = SamplerConfig(seed=1, samples=n, mode=RandomProportions(8, (1.0,) * 8), measure=MEASURE_LENGTH)
         peak = traced_peak(lambda: sample_leaf_residues(config, 5, tasks=2))
         assert peak <= _peak_sample_bytes(n, 8, tasks=2)
+
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_dirichlet_chunk_holds_one_draw(self, m, traced_peak):
+        # a stage's (n, m) draw is released before the next one is made, so
+        # a `uniform` chunk holds one draw, 8m B a row, beside five arrays
+        # of n: the running total, the row offsets, the picks, the picked
+        # values and their logs.  Holding the previous draw made it 16m + 32
+        n = 2**16
+        config = SamplerConfig(seed=1, samples=n, mode=RandomProportions(m, (1.0,) * m))
+        _sample_chunk(config, 1, 10, 0, 1)  # numpy's one-time allocations
+        peak = traced_peak(lambda: _sample_chunk(config, 5, 10, 0, n))
+        assert peak <= (8 * m + 40) * n + 4096
 
 
 @pytest.mark.parametrize(

@@ -178,6 +178,47 @@ class TestExactResidues:
         assert np.allclose(res.float_positions(), dist.residues, atol=1e-9)
 
 
+def reference_residue_walk(y, N, base_offset):
+    """exact_residues_rational's walk as first written: a fresh Fraction for
+    every reached class on every call, and the offset by the array _frac.
+    Returns (residues, count, lcm, denominator_bound, offset)."""
+    pairs = [(f.numerator, f.denominator) for f in map(Fraction, y)]
+    lcm = math.lcm(*(b for _, b in pairs))
+    steps = [a * (lcm // b) for a, b in pairs]
+    shifts = [sum(steps[j:]) % lcm for j in range(len(pairs) + 1)]
+    seen, frontier = {0}, {0}
+    for _ in range(N):
+        frontier = {(v + u) % lcm for v in frontier for u in shifts} - seen
+        if not frontier:
+            break
+        seen |= frontier
+    residues = tuple(Fraction(v, lcm) for v in sorted(seen))
+    offset = float(_frac(np.array([base_offset]))[0])
+    return residues, len(residues), lcm, math.prod(b for _, b in pairs), offset
+
+
+def walk_cases():
+    """(y, Ns, base_offset per N): fig3-fig6 at N = 0..L+2 and 600, with the
+    offset the engine carries, and y = 1/5003, whose 5003 classes are more
+    than the class cache holds, up to N = 10^4."""
+    for y in FIGURE_EXPONENTS.values():
+        p_last = proportions_from_exponents(ExponentSpec(tuple(y))).p[-1]
+        L = math.lcm(*(f.denominator for f in y))
+        yield y, [*range(L + 3), 600], lambda N: N * math.log10(p_last)
+    yield [Fraction(1, 5003)], [0, 1, 100, 5002, 10_000], lambda N: -2.75
+
+
+@pytest.mark.parametrize("y,Ns,offset_at", walk_cases(), ids=[*FIGURE_EXPONENTS, "y-1-5003"])
+def test_walk_matches_reference(y, Ns, offset_at):
+    for N in Ns:
+        expected = reference_residue_walk(y, N, offset_at(N))
+        for _ in range(2):  # the second call finds its classes in the cache
+            res = exact_residues_rational(y, N, base_offset=offset_at(N))
+            assert all(type(f) is Fraction for f in res.residues)
+            assert (res.residues, res.count, res.lcm, res.denominator_bound, res.offset) == expected, N
+            assert res.offset.hex() == expected[-1].hex(), N
+
+
 def tally_cases():
     """(y, model) for fig3-fig6 and the random pairs, each with a model of its m."""
     for y in FIGURE_EXPONENTS.values():
@@ -390,6 +431,9 @@ HALF = make_model([0.5])
     [
         (lambda: brute_force_leaves(HALF, -1), "need N >= 0"),
         (lambda: exact_residues_rational([(1, 2)], -1), "need N >= 0"),
+        (lambda: exact_residues_rational([(1, 2)], 3, base_offset=math.nan), "base_offset must be finite"),
+        (lambda: exact_residues_rational([(1, 2)], 3, base_offset=math.inf), "base_offset must be finite"),
+        (lambda: exact_residues_rational([(1, 2)], 3, base_offset=-math.inf), "base_offset must be finite"),
         (lambda: exact_residue_distribution([(1, 2)], -1, HALF), "need N >= 0"),
         (lambda: exact_residue_distribution([(1, 2)], 3, HALF, "lenght"), "unknown measure"),
         (lambda: exact_residue_distribution([(1, 2)], 3, make_model([0.2, 0.3])), "need m=2, model has m=3"),
@@ -398,7 +442,8 @@ HALF = make_model([0.5])
         (lambda: LeafList(np.full(4, 0.3), 2, 2), "not 1 within 1e-9"),
     ],
     ids=[
-        "brute-negative-n", "residues-negative-n", "distribution-negative-n",
+        "brute-negative-n", "residues-negative-n", "residues-offset-nan", "residues-offset-inf",
+        "residues-offset-minus-inf", "distribution-negative-n",
         "distribution-measure", "distribution-m", "leaves-measure", "leaf-count", "leaf-sum",
     ],
 )
