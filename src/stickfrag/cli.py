@@ -146,12 +146,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         # soon as the rotation returns
         unrotated = star_discrepancy(dist)
         dist = rotate_distribution(dist, log_base(args.length, base))
-        drift = abs(star_discrepancy(dist) - unrotated)
+    report = benford_report(dist, base, args.ks_threshold)
+    if args.length != 1.0:
+        # the report's discrepancy is star_discrepancy(dist), from the same CDF
+        drift = abs(report.star_discrepancy - unrotated)
         _log(f"scale invariance check: star-discrepancy drift {drift:.3e} at L={args.length}")
         if drift > SCALE_CHECK_TOL:
             _log("scale invariance violated")
             return EXIT_VERIFY
-    report = benford_report(dist, base, args.ks_threshold)
     return _write_outputs(args, report, {
         "distribution.csv": partial(write_distribution_csv, dist),
         "digits.csv": partial(write_digits_csv, report.leading_digit_freqs, base),
@@ -234,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_brute = add_command("brute", "cross-check enumeration against brute force", cmd_brute)
     p_sim = add_command("simulate", "Monte Carlo path sampling", cmd_simulate)
     for p in (p_analyze, p_brute, p_sim):
-        p.add_argument("--N", type=_int_in(0), required=True, help="number of fragmentation stages")
+        p.add_argument("--N", type=_int_in(0, 2**63), required=True, help="number of fragmentation stages")
         p.add_argument("--measure", choices=MEASURES, default=MEASURE_UNIFORM)
 
     p_analyze.add_argument("--out", type=_out_dir, required=True, help="output directory for this run")

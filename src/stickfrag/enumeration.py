@@ -98,17 +98,12 @@ class WeightedMod1Distribution:
 
 
 def _frac(x):
-    """Fractional part mapped into [0, 1); values within MERGE_TOL of 1 snap to 0.
+    """Fractional part of a float array, mapped into [0, 1); values within
+    MERGE_TOL of 1 snap to 0, and -0.0 gives +0.0.
 
-    A scalar gives a float, bit for bit the array path's; it must be finite.
-    An array is overwritten with the result, which is returned: callers pass
-    a buffer they own, so no second one is allocated.
+    x is overwritten with the result, which is returned: callers pass a
+    buffer they own, so no second one is allocated.
     """
-    if np.ndim(x) == 0:
-        r = x - math.floor(x)
-        # r == 0.0 also catches -0.0 - 0, which is -0.0 where the array
-        # path's -0.0 - np.floor(-0.0) is +0.0
-        return 0.0 if r == 0.0 or (1.0 - r) <= MERGE_TOL else float(r)
     np.subtract(x, np.floor(x), out=x)
     x[(1.0 - x) <= MERGE_TOL] = 0.0
     return x
@@ -210,11 +205,23 @@ def composition_count(N: int, m: int) -> int:
     return math.comb(N + m - 1, m - 1)
 
 
+def _count_text(base: int, exponent: int = 1, spec: str = "d") -> str:
+    """base**exponent formatted by spec up to about 10^18; above, its order
+    of magnitude from math.log10, e.g. "about 10^4300.0".
+
+    A guard message states its count without raising base to a huge power
+    or printing it in full: str() refuses an int of more than 4300 digits,
+    and a float format overflows above 1.8e308.
+    """
+    digits = exponent * math.log10(base)
+    return format(base**exponent, spec) if digits <= 18 else f"about 10^{digits:.1f}"
+
+
 def _refuse_above_byte_limit(estimate: int, what: str) -> None:
     """Raise ResourceLimitError when estimate, the peak bytes of a run, exceeds _BYTE_LIMIT."""
     if estimate > _BYTE_LIMIT:
         raise ResourceLimitError(
-            f"{what} need an estimated {estimate} bytes, above the limit of {_BYTE_LIMIT} bytes"
+            f"{what} need an estimated {_count_text(estimate)} bytes, above the limit of {_BYTE_LIMIT} bytes"
         )
 
 
@@ -509,7 +516,7 @@ def exact_distribution(
         raise ValueError("threads must be >= 1")
     _refuse_above_byte_limit(
         _peak_bytes(N, model.m),
-        f"C({N + model.m - 1},{model.m - 1}) = {composition_count(N, model.m)} compositions",
+        f"C({N + model.m - 1},{model.m - 1}) = {_count_text(composition_count(N, model.m))} compositions",
     )
     K = composition_array(N, model.m)
     lgt = np.array([math.lgamma(i + 1) for i in range(N + 1)])

@@ -28,6 +28,7 @@ from .enumeration import (
     MEASURE_UNIFORM,
     MEASURES,
     WeightedMod1Distribution,
+    _count_text,
     _frac,
     _refuse_above_byte_limit,
     _residues,
@@ -159,7 +160,9 @@ def sample_leaf_residues(
         raise ValueError(f"need N >= 0, got {N}")
     if tasks < 1:
         raise ValueError("tasks must be >= 1")
-    _refuse_above_byte_limit(_peak_sample_bytes(config.samples, config.m, tasks), f"{config.samples} samples")
+    _refuse_above_byte_limit(
+        _peak_sample_bytes(config.samples, config.m, tasks), f"{_count_text(config.samples)} samples"
+    )
     jobs = [(j, min(_CHUNK_SAMPLES, config.samples - start))
             for j, start in enumerate(range(0, config.samples, _CHUNK_SAMPLES))]
     if tasks == 1 or len(jobs) == 1:

@@ -28,6 +28,7 @@ from .enumeration import (
     MEASURES,
     WeightedMod1Distribution,
     _cluster_differences,
+    _count_text,
     build_distribution,
     exact_distribution,
     _frac,
@@ -79,9 +80,8 @@ class ExactResidueSet:
     offset: float
 
     def float_positions(self) -> np.ndarray:
-        """Residues shifted by the offset, as floats in [0,1), sorted."""
-        vals = np.array([_frac(float(f) + self.offset) for f in self.residues])
-        return np.sort(vals)
+        """Residues shifted by the offset and reduced mod 1 by _frac, as floats in [0,1), sorted."""
+        return np.sort(_frac(np.array([float(f) for f in self.residues]) + self.offset))
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,12 @@ def brute_force_leaves(model: ProportionVector, N: int) -> LeafList:
     """
     if N < 0:
         raise ValueError(f"need N >= 0, got {N}")
-    if model.m**N > BRUTE_FORCE_GUARD:
-        raise ResourceLimitError(f"{model.m}**{N} = {model.m**N} leaves exceeds guard {BRUTE_FORCE_GUARD}")
+    # m >= 2, so m**N is above the guard from N = BRUTE_FORCE_GUARD.bit_length()
+    # on: N is compared first, and a large N raises m to no power
+    if N >= BRUTE_FORCE_GUARD.bit_length() or model.m**N > BRUTE_FORCE_GUARD:
+        raise ResourceLimitError(
+            f"{model.m}**{N} = {_count_text(model.m, N)} leaves exceeds guard {BRUTE_FORCE_GUARD}"
+        )
     lengths = np.array([1.0])
     p = np.array(model.p)
     for _ in range(N):
@@ -186,7 +190,8 @@ def exact_residues_rational(y, N: int, base_offset: float = 0.0) -> ExactResidue
         count=len(residues),
         lcm=lcm,
         denominator_bound=math.prod(b for _, b in pairs),
-        offset=_frac(base_offset),
+        # the residue scans pass the default 0.0: a zero offset, + or -, reduces to +0.0 with no numpy call
+        offset=float(_frac(np.array([base_offset], dtype=float))[0]) if base_offset else 0.0,
     )
 
 
@@ -241,7 +246,7 @@ def exact_residue_distribution(
     work = lcm**2 * math.ceil(math.log2(N + 1)) * max(256, 256 * words, words**2)
     if work > _POWERING_WORK_LIMIT:
         raise ResourceLimitError(
-            f"residue powering work estimate {work:.3g} (L={lcm}, N={N}, {measure}) "
+            f"residue powering work estimate {_count_text(work, spec='.3g')} (L={lcm}, N={N}, {measure}) "
             f"exceeds the limit {_POWERING_WORK_LIMIT:.3g}"
         )
     q, total = ([1] * m, m**N) if measure == MEASURE_UNIFORM else (list(model.p), 1)

@@ -23,7 +23,7 @@ REPORT_KEYS = {
 }
 
 
-def run_cli(*args, cwd=None, preexec_fn=None):
+def run_cli(*args, cwd=None, preexec_fn=None, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "stickfrag", *args],
         capture_output=True,
@@ -31,6 +31,7 @@ def run_cli(*args, cwd=None, preexec_fn=None):
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": str(SRC)},
         preexec_fn=preexec_fn,
+        timeout=timeout,
     )
     return proc
 
@@ -231,6 +232,16 @@ class TestAnalyze:
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["distinct_residues"] == 100_001
 
+    def test_scale_violation_exits_4_and_writes_nothing(self, fig7_config, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "SCALE_CHECK_TOL", -1.0)
+        out = tmp_path / "x"
+        code = cli.main(["analyze", "--config", str(fig7_config), "--N", "30", "--length", "2.5", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "scale invariance violated"
+        assert not (out / "report.json").exists()
+
     def test_scale_flag_keeps_verdict_deterministic(self, fig3_config, tmp_path):
         out_dir = tmp_path / "scaled"
         proc = run_cli(
@@ -307,6 +318,50 @@ class TestBrute:
         code = cli.main(["brute", "--config", str(cfg), "--N", "1"])
         capsys.readouterr()
         assert code == 4
+
+
+class TestHugeCounts:
+    """Integer flags too large for the engines exit 2 at parse time or 3 at a
+    guard, fast, with one line saying why and no traceback."""
+
+    @staticmethod
+    def refusal_lines(proc):
+        # stderr without argparse's usage and the run's progress log line
+        return [line for line in proc.stderr.splitlines()
+                if not line.startswith(("usage:", " ", "analyzing ", "sampling "))]
+
+    @pytest.mark.parametrize(
+        "config,args,code,line",
+        [
+            ({"proportions": [0.3]}, ["brute", "--N", "20000"], 3,
+             "2**20000 = about 10^6020.6 leaves exceeds guard 10000000"),
+            (None, ["brute", "--N", "100000000"], 3,
+             "3**100000000 = about 10^47712125.5 leaves exceeds guard 10000000"),
+            (None, ["analyze", "--N", str(10**4000), "--out", "x"], 2,
+             f"stickfrag analyze: error: argument --N: must be in [0, {2**63}), got {10**4000}"),
+            ({"proportions": [1 / 300] * 299}, ["analyze", "--N", str(10**17), "--out", "x"], 3,
+             "C(100000000000000299,299) = about 10^4471.0 compositions need an estimated about 10^4474.4 "
+             "bytes, above the limit of 4294967296 bytes; consider `stickfrag simulate` for this size"),
+            (None, ["simulate", "--N", str(10**19), "--samples", "10", "--seed", "1", "--out", "x"], 2,
+             f"stickfrag simulate: error: argument --N: must be in [0, {2**63}), got {10**19}"),
+            (None, ["simulate", "--N", "5", "--samples", str(10**4299), "--seed", "1", "--out", "x"], 3,
+             "about 10^4299.0 samples need an estimated about 10^4300.9 bytes, above the limit of "
+             "4294967296 bytes"),
+        ],
+        ids=["brute-power-digits", "brute-power-time", "analyze-N", "analyze-count", "simulate-N",
+             "simulate-samples"],
+    )
+    def test_refused_in_one_line(self, config, args, code, line, fig7_config, tmp_path):
+        cfg = fig7_config
+        if config is not None:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(config))
+        proc = run_cli(args[0], "--config", str(cfg), *args[1:], cwd=tmp_path, timeout=10)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert self.refusal_lines(proc) == [line]
+        assert not (tmp_path / "x").exists()
 
 
 class TestSimulate:
@@ -546,6 +601,22 @@ class TestInProcessReuse:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(SRC)})
         assert proc.returncode == 0, proc.stderr
+
+    def test_import_loads_only_declared_packages(self):
+        # the set-up the benchmark times: every top-level module this adds is
+        # the standard library's, numpy (the one declared dependency) or ours
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import stickfrag.cli\n"
+            "stickfrag.cli.build_parser()\n"
+            "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(added - set(sys.stdlib_module_names) - {'numpy', 'stickfrag'}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()

@@ -35,6 +35,7 @@ from stickfrag.enumeration import (
     MERGE_TOL,
     _SLICE_MIN_LEN,
     _atom_table,
+    _count_text,
     _frac,
     _merge_atoms,
     _peak_bytes,
@@ -437,15 +438,16 @@ class TestExactDistribution:
             assert abs(d.residues[i] - r) < 1e-9
 
 
-@pytest.mark.parametrize("x", [2.25, -0.75, 1 - 5e-13, -1e-13, -0.0, 5e-324, 1e15 + 0.5])
-def test_scalar_frac_matches_array_path(x):
-    # 1 - 5e-13 and -1e-13 land within MERGE_TOL of 1 and snap to 0; -0.0
-    # must give +0.0, as the array path's -0.0 - floor(-0.0) does
-    expected = _frac(np.array([x]))[0]
-    for scalar in (x, np.float64(x)):
-        got = _frac(scalar)
-        assert type(got) is float
-        assert got.hex() == float(expected).hex()
+def test_count_text_bounds_large_counts():
+    # exact up to 10^18, as the guards printed every count before
+    assert _count_text(2, 30) == "1073741824"
+    assert _count_text(10**18) == "1000000000000000000"
+    assert _count_text(32 * 10**9, spec=".3g") == "3.2e+10"
+    # above, the order of magnitude: 3**10^8 is never raised, and neither
+    # str() of a 5001-digit int nor a float format of it is tried
+    assert _count_text(10**19) == "about 10^19.0"
+    assert _count_text(3, 10**8) == "about 10^47712125.5"
+    assert _count_text(10**5000, spec=".3g") == "about 10^5000.0"
 
 
 class TestDistributionValidation:

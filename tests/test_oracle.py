@@ -219,6 +219,18 @@ def test_walk_matches_reference(y, Ns, offset_at):
             assert res.offset.hex() == expected[-1].hex(), N
 
 
+@pytest.mark.parametrize("x", [2.25, -0.75, 1 - 5e-13, -1e-13, -0.0, 0.0, 5e-324, 1e15 + 0.5])
+def test_offset_and_positions_reduce_by_array_frac(x):
+    # 1 - 5e-13 and -1e-13 land within MERGE_TOL of 1 and snap to 0; -0.0
+    # must give +0.0, as the array path's -0.0 - floor(-0.0) does
+    res = exact_residues_rational([(1, 2)], 3, base_offset=x)
+    expected = float(_frac(np.array([x]))[0])
+    assert type(res.offset) is float
+    assert res.offset.hex() == expected.hex()
+    expected_positions = sorted(float(_frac(np.array([float(f) + res.offset]))[0]) for f in res.residues)
+    assert [v.hex() for v in res.float_positions().tolist()] == [v.hex() for v in expected_positions]
+
+
 def tally_cases():
     """(y, model) for fig3-fig6 and the random pairs, each with a model of its m."""
     for y in FIGURE_EXPONENTS.values():
@@ -260,7 +272,7 @@ class TestExactResidueDistribution:
         rows = exact_residue_distribution(y, N, model, measure)
         assert dist.atoms == len(rows)
         offset = N * math.log10(model.p[-1])
-        positions = np.array([_frac(float(r) + offset) for r, _ in rows])
+        positions = _frac(np.array([float(r) for r, _ in rows]) + offset)
         order = np.argsort(positions)
         gaps = np.abs(positions[order] - dist.residues)
         assert np.minimum(gaps, 1.0 - gaps).max() <= 1e-9
@@ -291,6 +303,13 @@ class TestPoweringGuard:
         model = proportions_from_exponents(ExponentSpec(tuple(y)))
         with pytest.raises(ResourceLimitError, match=r"work estimate .* exceeds the limit 1e\+03"):
             exact_residue_distribution(y, 150, model, measure)
+
+    def test_refuses_huge_n_with_a_bounded_estimate(self):
+        # the work estimate, about 10^401, is past float range: a .3g format of it overflows
+        y = FIGURE_EXPONENTS["fig3"]
+        model = proportions_from_exponents(ExponentSpec(tuple(y)))
+        with pytest.raises(ResourceLimitError, match=r"^residue powering work estimate about 10\^401\.2 \(L=6, "):
+            exact_residue_distribution(y, 10**200, model, MEASURE_UNIFORM)
 
     @pytest.mark.parametrize(
         "y,N",
