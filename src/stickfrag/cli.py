@@ -21,6 +21,7 @@ from .benford import DEFAULT_KS_THRESHOLD, benford_report, star_discrepancy, wri
 from .enumeration import (
     MEASURE_UNIFORM,
     MEASURES,
+    _count_text,
     _rewrite,
     exact_distribution,
     rotate_distribution,
@@ -175,7 +176,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = SamplerConfig(
         seed=args.seed, samples=args.samples, mode=FixedProportions(model), measure=args.measure
     )
-    _log(f"sampling {args.samples} paths of length {args.N} (seed {args.seed})")
+    _log(f"sampling {_count_text(args.samples)} paths of length {args.N} (seed {args.seed})")
     residues, dist = sample_leaf_residues(config, args.N, spec.base, tasks=args.threads)
     report = benford_report(dist, spec.base, args.ks_threshold)
     return _write_outputs(args, report, {

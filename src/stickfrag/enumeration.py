@@ -207,12 +207,19 @@ def composition_count(N: int, m: int) -> int:
 
 def _count_text(base: int, exponent: int = 1, spec: str = "d") -> str:
     """base**exponent formatted by spec up to about 10^18; above, its order
-    of magnitude from math.log10, e.g. "about 10^4300.0".
+    of magnitude from math.log10, e.g. "about 10^4300.0"; and once that order
+    passes 10^18, the order of the order, e.g. "about 10^(10^400.0)".
 
     A guard message states its count without raising base to a huge power
     or printing it in full: str() refuses an int of more than 4300 digits,
-    and a float format overflows above 1.8e308.
+    and a float format overflows above 1.8e308.  math.log10 takes an int of
+    any size, so no huge int is converted to a float: the digit count
+    exponent * log10(base) is formed only once its own log10 is at most 18.
     """
+    if base > 1 and exponent > 0:
+        log_digits = math.log10(exponent) + math.log10(math.log10(base))
+        if log_digits > 18:
+            return f"about 10^(10^{log_digits:.1f})"
     digits = exponent * math.log10(base)
     return format(base**exponent, spec) if digits <= 18 else f"about 10^{digits:.1f}"
 
@@ -237,10 +244,12 @@ def _peak_bytes(N: int, m: int) -> int:
       this term for N <= (m-1)^2 and the atom table's for N >= m-1;
     - the atom table: the composition table and the residue and log-mass
       table, 8m + 16, plus one chunk's temporaries, max(8m + 8, 40) a row;
-    - the merge: the atom table, its sorted copies and the cluster arrays,
-      64.  The term is 72, which also bounds rotate_distribution on the
-      result: the unrotated distribution (16), the rotated residues (8) and
-      the merge's own arrays (48), so analyze --length stays inside it too.
+    - the merge: the atom table, whose residues it sorts in place, and the
+      cluster arrays and sums, 56 (traced at m=3, N=1200).  The term is 72,
+      fitted when the merge made sorted copies (64), and it also bounds
+      rotate_distribution on the result: the unrotated distribution (16),
+      the rotated residues (8) and the merge's own arrays (40), traced at
+      64.1 B, so analyze --length stays inside it too.
     The lgamma table adds 8 B a stage, and fixed-size buffers (measured up
     to 0.25 MB) are covered by 1 MiB.
     """
@@ -342,10 +351,19 @@ def atom_for(
 
 def _cluster_starts(points: np.ndarray, tol: float) -> np.ndarray:
     """Mask over ascending points: True where a point lies more than tol above
-    its predecessor, i.e. starts a new cluster (clusters chain)."""
-    boundary = np.empty(len(points), dtype=bool)
+    its predecessor, i.e. starts a new cluster (clusters chain).
+
+    The gaps are np.diff's subtractions, taken _CHUNK_ROWS at a time into one
+    reused buffer, so no gap array of len(points) is built.
+    """
+    n = len(points)
+    boundary = np.empty(n, dtype=bool)
     boundary[0] = True
-    np.greater(np.diff(points), tol, out=boundary[1:])
+    gaps = np.empty(min(n, _CHUNK_ROWS))
+    for i in range(1, n, _CHUNK_ROWS):
+        g = gaps[:min(_CHUNK_ROWS, n - i)]
+        np.subtract(points[i:i + len(g)], points[i - 1:i - 1 + len(g)], out=g)
+        np.greater(g, tol, out=boundary[i:i + len(g)])
     return boundary
 
 
@@ -365,67 +383,86 @@ def _cluster_differences(
 def _merge_atoms(residues: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort atoms and merge residues closer than MERGE_TOL (chained).
 
-    residues must be finite float64 values >= +0.0, as _frac returns them:
-    there the int64 order of the bit patterns is the float order, and the
-    stable integer sort is the faster one.  The merged residue is the plain
-    mean of the cluster: it stays inside the cluster's span, so
-    representatives of distinct clusters keep their order.
+    residues must be finite float64 values >= +0.0, as _frac returns them,
+    in an array the caller owns: it is sorted in place, so no sorted copy
+    is made.  There the int64 order of the bit patterns is the float order,
+    and values that compare equal have equal bits (no -0.0 among them), so
+    the sorted values are what the stable permutation of the bit patterns,
+    taken first, would gather; the weights are read through it.  The
+    merged residue is the plain mean of the cluster: it stays inside the
+    cluster's span, so representatives of distinct clusters keep their
+    order.
 
-    Equal weights, passed as one value broadcast (stride 0), are ordered by
-    a plain value sort instead.  Residues that compare equal have equal bits
-    here (no -0.0 among them), so the sorted residues are the stable
-    order's; the weights are interchangeable, so every sum over them is the
-    same bit for bit, and no permutation is built or gathered by.
+    Equal weights, passed as one value broadcast (stride 0), are
+    interchangeable, so every sum over them is the same bit for bit and no
+    permutation is built.
 
     Up to 4096 clusters, each one's residues and weights get their own
-    pairwise sum, which keeps roundoff ~eps*log(n); clusters of one length L
-    are summed together.  From _SLICE_MIN_LEN atoms each cluster's slice of
-    the sorted arrays is reduced where it lies, with no index array; below
-    it, one (k, L) gather is reduced by rows.  Equal weights are not
-    gathered at all: each cluster's mass is the sum of np.full(L, w), made
-    once per length.  numpy blocks the pairwise sum of a C-contiguous row
-    the same way whether it is a 1-d slice, a row of a 2-d reduction or a
-    fresh array, so each way gives the bits of the cluster's own slice sum.
+    pairwise sum, which keeps roundoff ~eps*log(n); clusters of one width
+    are summed together, and each gathers its weights through the
+    permutation, with no gather of all of them.  Below 128 atoms numpy sums
+    a row with 8 accumulators over its first 8 floor(W/8) entries and adds
+    the rest in order, so a cluster of L atoms is padded with +0.0 to the
+    width L | 7: the padding only adds +0.0s at the end, which change no sum
+    of non-negative terms, and clusters of 8 lengths share one gather.  From
+    128 atoms numpy splits the sum recursively, and a cluster keeps its own
+    length.  From _SLICE_MIN_LEN atoms each cluster's slice of the residues
+    (and of the permutation) is reduced where it lies; below it, one
+    (k, W) gather is reduced by rows.  Equal weights are not gathered at
+    all: each cluster's mass is the sum of np.full(L, w), made once per
+    length.  numpy blocks the pairwise sum of a C-contiguous row the same
+    way whether it is a 1-d slice, a row of a 2-d reduction or a fresh
+    array, so each way gives the bits of the cluster's own slice sum.
     """
     equal = weights.strides == (0,)
-    if equal:
-        r = np.sort(residues)
-        w = weights
-    else:
+    if not equal:
         order = np.argsort(residues.view(np.int64), kind="stable")
-        r = residues[order]
-        w = weights[order]
-        del order
-    starts = np.flatnonzero(_cluster_starts(r, MERGE_TOL))
-    lens = np.diff(starts, append=len(r))
+    residues.sort()
+    starts = np.flatnonzero(_cluster_starts(residues, MERGE_TOL))
+    lens = np.diff(starts, append=len(residues))
     n_clusters = len(starts)
-    if n_clusters <= 4096:
-        mass = np.empty(n_clusters)
-        rep_sums = np.empty(n_clusters)
-        by_len = np.argsort(lens, kind="stable")
-        for sel in np.split(by_len, np.flatnonzero(np.diff(lens[by_len])) + 1):
-            L = int(lens[sel[0]])
-            if L >= _SLICE_MIN_LEN:
-                firsts = starts[sel].tolist()
-
-                def cluster_sums(x):
-                    return [np.add.reduce(x[s:s + L]) for s in firsts]
-            else:
-                rows = starts[sel][:, None] + np.arange(L)
-
-                def cluster_sums(x):
-                    return np.add.reduce(x[rows], axis=1)
-            rep_sums[sel] = cluster_sums(r)
-            mass[sel] = np.add.reduce(np.full(L, w[0])) if equal else cluster_sums(w)
-        rep = rep_sums / lens
-    else:
+    if n_clusters > 4096:
         # cluster ids from the starts: a cumsum over the mask would first
         # cast all of it to int64
         del starts  # dead here, and the bincounts below set the merge's peak
+        if not equal:
+            weights = weights[order]
+            del order
         cid = np.repeat(np.arange(n_clusters), lens)
-        mass = np.bincount(cid, weights=w, minlength=n_clusters)
-        rep = np.bincount(cid, weights=r, minlength=n_clusters) / lens
-    return rep, mass
+        mass = np.bincount(cid, weights=weights, minlength=n_clusters)
+        rep = np.bincount(cid, weights=residues, minlength=n_clusters) / lens
+        return rep, mass
+    if equal:
+        distinct, inverse = np.unique(lens, return_inverse=True)
+        mass = np.array([np.add.reduce(np.full(L, weights[0])) for L in distinct.tolist()])[inverse]
+    else:
+        mass = np.empty(n_clusters)
+
+        def weights_at(index):
+            return weights[order[index]]
+    rep_sums = np.empty(n_clusters)
+    width = np.where(lens < 128, lens | 7, lens)
+    by_width = np.argsort(width, kind="stable")
+    for sel in np.split(by_width, np.flatnonzero(np.diff(width[by_width])) + 1):
+        W = int(width[sel[0]])
+        if W >= _SLICE_MIN_LEN:
+            slices = [slice(s, s + W) for s in starts[sel].tolist()]
+
+            def cluster_sums(take):
+                return [np.add.reduce(take(s)) for s in slices]
+        else:
+            rows = starts[sel][:, None] + np.arange(W)
+            pad = rows >= (starts[sel] + lens[sel])[:, None]
+            rows[pad] = 0  # any index in range: its value is replaced by +0.0
+
+            def cluster_sums(take):
+                x = take(rows)
+                x[pad] = 0.0
+                return np.add.reduce(x, axis=1)
+        rep_sums[sel] = cluster_sums(residues.__getitem__)
+        if not equal:
+            mass[sel] = cluster_sums(weights_at)
+    return rep_sums / lens, mass
 
 
 def build_distribution(
@@ -435,7 +472,11 @@ def build_distribution(
     N: int,
     m: int,
 ) -> WeightedMod1Distribution:
-    """Merge raw atoms into a validated WeightedMod1Distribution."""
+    """Merge raw atoms into a validated WeightedMod1Distribution.
+
+    residues is overwritten with its sorted values (see _merge_atoms), so
+    the caller passes an array it owns, as _frac returns it.
+    """
     rep, mass = _merge_atoms(residues, masses)
     return WeightedMod1Distribution(rep, mass, measure, N, m)
 
@@ -495,8 +536,9 @@ def exact_distribution(
     Before any array is built, ResourceLimitError refuses a run whose peak
     estimate _peak_bytes(N, m) exceeds _BYTE_LIMIT (4 GiB).  The estimate is
     at least the traced peak of either measure, whether or not atoms merge;
-    with every atom distinct that peak is 64-65 B per composition at m=3-4,
-    86 B at m=8 (N=22) and 116 B at m=10 (N=15).
+    with every atom distinct that peak is 56-57.5 B per composition at m=3
+    (N=774 and 1200), 65 B at m=4 (N=120), 86 B at m=8 (N=22) and 116 B
+    at m=10 (N=15).
 
     threads is validated (>= 1) and otherwise ignored: enumeration is
     single-threaded, because splitting the atom table over threads did not
@@ -504,9 +546,10 @@ def exact_distribution(
     chunks, which bounds its temporaries; its arithmetic is elementwise per
     row, so the chunking does not change a byte of the result.  Each chunk
     lands in one preallocated residue and log-mass table, the composition
-    table is dropped before the merge, and the peak shift and exp run in
-    place, so the composition table, the atom table and the merge's sorted
-    copies are never all live at once.
+    table is dropped before the merge, the peak shift and exp run in
+    place, and the merge sorts the residues in place, so the composition
+    table, the atom table and the merge's cluster arrays are never all live
+    at once.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")

@@ -43,8 +43,8 @@ _CHUNK_SAMPLES = 1 << 16
 # Upper bound on the bytes sample_leaf_residues holds at once, checked
 # against tracemalloc peaks of fixed and Dirichlet runs at m=3 and m=8, both
 # measures, every residue distinct, from 1 to 2^21 samples and 1 or 2 tasks:
-# - _SAMPLE_BYTES a sample: the residues and their merge took 63.0-64.1 B a
-#   sample from 2^19 samples up, 64-65 B at 2^18; the rest is room, as the
+# - _SAMPLE_BYTES a sample: the residues and their merge took 47.9-48.1 B a
+#   sample from 2^19 samples up, 48-51 B at 2^18; the rest is room, as the
 #   fit stops far below the byte limit;
 # - the buffers of the chunks in flight, (17m + 40) B a row of
 #   min(samples, tasks * _CHUNK_SAMPLES): below 2^16 samples the peak grows by

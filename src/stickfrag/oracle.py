@@ -38,9 +38,9 @@ from .errors import ResourceLimitError
 from .model import ProportionVector, exponent_entry, log_base
 
 # brute_force_leaves refuses above this many leaves.  cross_check, the
-# oracle's largest caller, peaks at 41 B a leaf (33 for `uniform`) in the
-# merge of the brute-force atoms, and its tests hold it to 48 B, so 10^7
-# leaves stay near 0.5 GB, below the exact engine's _BYTE_LIMIT (4 GiB)
+# oracle's largest caller, peaks at 27 B a leaf (25 for `uniform`) while it
+# tallies the brute-force atoms, and its tests hold it to 30 B, so 10^7
+# leaves stay near 0.27 GB, below the exact engine's _BYTE_LIMIT (4 GiB)
 BRUTE_FORCE_GUARD = 10**7
 # exact_residue_distribution's limit on its work estimate (see there): it
 # accepts fig3-fig6 at N=10^5, and length calls at the limit take 1.4-4.3 s
@@ -110,15 +110,19 @@ def brute_force_leaves(model: ProportionVector, N: int) -> LeafList:
         raise ValueError(f"need N >= 0, got {N}")
     # m >= 2, so m**N is above the guard from N = BRUTE_FORCE_GUARD.bit_length()
     # on: N is compared first, and a large N raises m to no power
-    if N >= BRUTE_FORCE_GUARD.bit_length() or model.m**N > BRUTE_FORCE_GUARD:
+    m = model.m
+    if N >= BRUTE_FORCE_GUARD.bit_length() or m**N > BRUTE_FORCE_GUARD:
         raise ResourceLimitError(
-            f"{model.m}**{N} = {_count_text(model.m, N)} leaves exceeds guard {BRUTE_FORCE_GUARD}"
+            f"{m}**{_count_text(N)} = {_count_text(m, N)} leaves exceeds guard {BRUTE_FORCE_GUARD}"
         )
     lengths = np.array([1.0])
-    p = np.array(model.p)
     for _ in range(N):
-        lengths = (lengths[:, None] * p[None, :]).ravel()
-    return LeafList(lengths, model.m, N)
+        # child j of leaf i lands at i*m + j: one strided product per proportion
+        children = np.empty(len(lengths) * m)
+        for j, p in enumerate(model.p):
+            np.multiply(lengths, p, out=children[j::m])
+        lengths = children
+    return LeafList(lengths, m, N)
 
 
 def _rational_pairs(y) -> tuple[tuple[int, int], ...]:
@@ -242,11 +246,14 @@ def exact_residue_distribution(
     if N < 0:
         raise ValueError(f"need N >= 0, got {N}")
     lcm, shifts = _class_shifts(pairs)
-    words = math.ceil(N * math.log2(m) / 64) if measure == MEASURE_UNIFORM else 0
+    # ceil(N log2(m) / 64) in ints, from the exact ratio of the float log2(m):
+    # N * log2(m) would convert an N past float range to a float
+    num, den = math.log2(m).as_integer_ratio()
+    words = -(-N * num // (64 * den)) if measure == MEASURE_UNIFORM else 0
     work = lcm**2 * math.ceil(math.log2(N + 1)) * max(256, 256 * words, words**2)
     if work > _POWERING_WORK_LIMIT:
         raise ResourceLimitError(
-            f"residue powering work estimate {_count_text(work, spec='.3g')} (L={lcm}, N={N}, {measure}) "
+            f"residue powering work estimate {_count_text(work, spec='.3g')} (L={lcm}, N={_count_text(N)}, {measure}) "
             f"exceeds the limit {_POWERING_WORK_LIMIT:.3g}"
         )
     q, total = ([1] * m, m**N) if measure == MEASURE_UNIFORM else (list(model.p), 1)

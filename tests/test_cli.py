@@ -361,6 +361,9 @@ class TestHugeCounts:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert self.refusal_lines(proc) == [line]
+        if code == 3:
+            # past parsing, the progress line states its count bounded too
+            assert len(proc.stderr.encode()) < 1000
         assert not (tmp_path / "x").exists()
 
 

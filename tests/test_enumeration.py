@@ -33,8 +33,10 @@ from stickfrag import enumeration
 from stickfrag.enumeration import (
     MEASURES,
     MERGE_TOL,
+    _CHUNK_ROWS,
     _SLICE_MIN_LEN,
     _atom_table,
+    _cluster_starts,
     _count_text,
     _frac,
     _merge_atoms,
@@ -448,6 +450,9 @@ def test_count_text_bounds_large_counts():
     assert _count_text(10**19) == "about 10^19.0"
     assert _count_text(3, 10**8) == "about 10^47712125.5"
     assert _count_text(10**5000, spec=".3g") == "about 10^5000.0"
+    # an exponent past float range: the digit count by its own order of
+    # magnitude, from the logs of the ints alone
+    assert _count_text(2, 10**400) == "about 10^(10^399.5)"
 
 
 class TestDistributionValidation:
@@ -500,15 +505,18 @@ CLUSTER_LENS = [
     [1] * 2000,  # singletons
     # lengths on both sides of the bound from which clusters are summed as slices
     [_SLICE_MIN_LEN - 1] * 3 + [_SLICE_MIN_LEN] * 3 + [_SLICE_MIN_LEN + 1] * 2 + [5] * 50,
+    # every length that is padded to a width of 8 lengths, the first ones
+    # summed at their own length, and both sides of the slice bound
+    list(range(1, 131)) + [1023, 1024, 1025],
 ]
-CLUSTER_IDS = ["shared", "distinct", "big", "big-pair", "singletons", "slice-bound"]
+CLUSTER_IDS = ["shared", "distinct", "big", "big-pair", "singletons", "slice-bound", "every-short"]
 
 
 def equal_weight_merge_matches_reference(residues, c):
     """_merge_atoms on one weight c broadcast against the stable-order
     reference on the same weight materialised; returns the merged atoms."""
     n = len(residues)
-    rep, mass = _merge_atoms(residues, np.broadcast_to(c, n))
+    rep, mass = _merge_atoms(residues.copy(), np.broadcast_to(c, n))
     ref_rep, ref_mass = reference_merge(residues, np.full(n, c))
     assert np.array_equal(bits(rep), bits(ref_rep))
     assert np.array_equal(bits(mass), bits(ref_mass))
@@ -519,7 +527,7 @@ class TestMergeAtoms:
     @pytest.mark.parametrize("lens", CLUSTER_LENS, ids=CLUSTER_IDS)
     def test_bit_identical_to_slice_loop(self, lens):
         residues, weights = clustered_atoms(lens, seed=len(lens))
-        rep, mass = _merge_atoms(residues, weights)
+        rep, mass = _merge_atoms(residues.copy(), weights)
         ref_rep, ref_mass = reference_merge(residues, weights)
         assert len(rep) == len(lens)
         assert np.array_equal(bits(rep), bits(ref_rep))
@@ -534,7 +542,7 @@ class TestMergeAtoms:
         values = np.append(rng.random(n_values - 1), 0.0)
         residues = rng.choice(values, 20_000)
         weights = rng.random(20_000)
-        rep, mass = _merge_atoms(residues, weights)
+        rep, mass = _merge_atoms(residues.copy(), weights)
         ref_rep, ref_mass = reference_merge(residues, weights)
         assert len(rep) == len(np.unique(residues))
         assert np.array_equal(bits(rep), bits(ref_rep))
@@ -546,12 +554,40 @@ class TestMergeAtoms:
         # up to 40 make the two disagree, so a moved boundary shows
         lens = np.random.default_rng(n_clusters).integers(1, 41, n_clusters)
         residues, weights = clustered_atoms(lens, seed=n_clusters)
-        rep, mass = _merge_atoms(residues, weights)
+        rep, mass = _merge_atoms(residues.copy(), weights)
         ref_rep, ref_mass = reference_merge(residues, weights)
         assert np.array_equal(bits(rep), bits(ref_rep))
         assert np.array_equal(bits(mass), bits(ref_mass))
         other_rep, other_mass = reference_merge(residues, weights, loop_max=other_loop_max)
         assert not (np.array_equal(bits(other_rep), bits(rep)) and np.array_equal(bits(other_mass), bits(mass)))
+
+    @pytest.mark.parametrize("equal", [False, True], ids=["weighted", "equal"])
+    def test_sorts_residues_in_place(self, equal):
+        # the merge overwrites its residues with their sorted values, which
+        # are what the stable permutation gathers
+        residues, weights = clustered_atoms(CLUSTER_LENS[0], seed=1)
+        if equal:
+            weights = np.broadcast_to(1.0 / len(residues), len(residues))
+        given = residues.copy()
+        _merge_atoms(given, weights)
+        assert np.array_equal(bits(given), bits(residues[np.argsort(residues, kind="stable")]))
+
+    @pytest.mark.parametrize("edge_step", [1e-6, 0.0], ids=["gap", "no-gap"])
+    @pytest.mark.parametrize("n", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1])
+    def test_cluster_starts_match_diff(self, n, edge_step):
+        # gaps are taken a block of _CHUNK_ROWS at a time; a gap above the
+        # tolerance (or none) sits on each side of every block edge, the
+        # other steps straddle the tolerance.  Both kinds catch an edge
+        # left unset in the uninitialised mask
+        rng = np.random.default_rng(n)
+        steps = rng.uniform(0.0, 2 * MERGE_TOL, n)
+        edges = np.array([1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS, 2 * _CHUNK_ROWS + 1])
+        edges = edges[edges < n]
+        steps[edges] = edge_step
+        points = np.cumsum(steps)
+        want = np.concatenate([[True], np.diff(points) > MERGE_TOL])
+        assert (want[edges] == (edge_step > 0)).all()
+        assert np.array_equal(_cluster_starts(points, MERGE_TOL), want)
 
     @pytest.mark.parametrize("lens", CLUSTER_LENS, ids=CLUSTER_IDS)
     def test_equal_weight_clustered(self, lens):

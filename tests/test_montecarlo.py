@@ -279,7 +279,7 @@ class TestByteGuard:
     def test_per_sample_bound_holds(self, mode, N, traced_peak):
         # (almost) every residue distinct, so nothing merges.  Up to one
         # chunk its buffers set the peak (Dirichlet `length`: 66 B a
-        # sample); at 2^18 samples the residues and the merge take 64-65 B a
+        # sample); at 2^18 samples the residues and the merge take 48-51 B a
         # sample, where the chunk list kept beside them made that 72-75
         for n in (2**15, 2**16, 2**18):
             for measure in (MEASURE_UNIFORM, MEASURE_LENGTH):

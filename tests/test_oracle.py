@@ -99,6 +99,34 @@ class TestBruteForce:
         with pytest.raises(ResourceLimitError):
             brute_force_leaves(make_model([0.5]), 30)
 
+    def test_guard_past_float_range(self):
+        # 10**400 * log10(2) would overflow a float: the count's digits are
+        # given by their own order of magnitude, in one bounded line
+        with pytest.raises(ResourceLimitError) as refused:
+            brute_force_leaves(make_model([0.3]), 10**400)
+        assert str(refused.value) == "2**about 10^400.0 = about 10^(10^399.5) leaves exceeds guard 10000000"
+
+    @pytest.mark.parametrize(
+        "model,N",
+        [
+            *((ProportionVector(tuple(np.random.default_rng(m).dirichlet(np.ones(m)).tolist())), N)
+              for m in (2, 3, 4, 8) for N in (0, 1, 5)),
+            (ProportionVector((0.3, 0.7)), 19),
+            (proportions_from_exponents(ExponentSpec((Fraction(-1, 2), -math.sqrt(2)))), 11),
+            (proportions_from_exponents(ExponentSpec((-math.sqrt(2), Fraction(-1, 3), Fraction(-1, 4)))), 9),
+        ],
+        ids=[*(f"m{m}-N{N}" for m in (2, 3, 4, 8) for N in (0, 1, 5)), "split30", "fig7", "fig9"],
+    )
+    def test_bit_identical_to_broadcast_expansion(self, model, N):
+        # the former expansion: each level an (n, 1) x (1, m) outer product,
+        # raveled, so child j of leaf i lands at i*m + j
+        lengths = np.array([1.0])
+        p = np.array(model.p)
+        for _ in range(N):
+            lengths = (lengths[:, None] * p[None, :]).ravel()
+        got = brute_force_leaves(model, N).lengths
+        assert np.array_equal(got.view(np.int64), lengths.view(np.int64))
+
 
 class TestExactResidues:
     def test_figure3_bound_and_count(self):
@@ -311,6 +339,17 @@ class TestPoweringGuard:
         with pytest.raises(ResourceLimitError, match=r"^residue powering work estimate about 10\^401\.2 \(L=6, "):
             exact_residue_distribution(y, 10**200, model, MEASURE_UNIFORM)
 
+    def test_refuses_n_past_float_range(self):
+        # N * log2(m) would overflow a float: the count's size in words is
+        # taken in ints, and N is printed by its order of magnitude
+        y = FIGURE_EXPONENTS["fig3"]
+        model = proportions_from_exponents(ExponentSpec(tuple(y)))
+        with pytest.raises(ResourceLimitError) as refused:
+            exact_residue_distribution(y, 10**400, model, MEASURE_UNIFORM)
+        assert str(refused.value) == (
+            "residue powering work estimate about 10^801.5 (L=6, N=about 10^400.0, uniform) exceeds the limit 3e+10"
+        )
+
     @pytest.mark.parametrize(
         "y,N",
         [
@@ -384,13 +423,14 @@ class TestCrossCheck:
 
     @pytest.mark.parametrize("measure", [MEASURE_UNIFORM, MEASURE_LENGTH])
     def test_working_set_per_leaf(self, measure, traced_peak):
-        # 2**19 leaves: the lengths, their residues and the merge's sorted
-        # copies live at once, 41 B per leaf (33 for uniform, whose merge
-        # sorts values only); the weights are views.  This per-leaf figure is
-        # what BRUTE_FORCE_GUARD's leaf count means in bytes
+        # 2**19 leaves: the lengths, their residues and, for the length
+        # measure, the merge's stable permutation and cluster mask live at
+        # once, 27 B per leaf (25 for uniform, at _frac's temporaries); the
+        # merge sorts the residues in place and the weights are views.  This
+        # per-leaf figure is what BRUTE_FORCE_GUARD's leaf count means in bytes
         N = 19
         peak = traced_peak(lambda: cross_check(ProportionVector((0.3, 0.7)), N, measure=measure))
-        assert peak <= 48 * 2**N
+        assert peak <= 30 * 2**N
 
     @pytest.mark.parametrize(
         "model,N",
