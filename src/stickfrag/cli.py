@@ -138,7 +138,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     base = spec.base
     _log(f"analyzing m={model.m} N={args.N} measure={args.measure}")
     try:
-        dist = exact_distribution(model, args.N, base, args.measure, threads=args.threads)
+        dist = exact_distribution(model, args.N, base, args.measure)
     except ResourceLimitError as exc:
         _log(f"{exc}; consider `stickfrag simulate` for this size")
         return EXIT_RESOURCE
@@ -189,10 +189,18 @@ def _int_in(lo: int, hi: int | None = None):
     """argparse type: an integer in [lo, hi), so a bad flag exits 2 before any work."""
 
     def integer(text: str) -> int:
-        value = int(text)
+        try:
+            value = int(text)
+        except ValueError:
+            # argparse echoes a short text; a long one (int() refuses over 4300 digits) is stated by its length
+            if len(text) <= 20:
+                raise
+            raise argparse.ArgumentTypeError(f"invalid integer value of {len(text)} characters") from None
         if value < lo or (hi is not None and value >= hi):
             bound = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+            # bounded as the guards state counts; _count_text takes logs, so the sign goes first
+            got = "-" * (value < 0) + (_count_text(abs(value)) if value else "0")
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {got}")
         return value
 
     return integer

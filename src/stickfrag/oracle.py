@@ -17,7 +17,6 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -67,21 +66,31 @@ class LeafList:
 
 @dataclass(frozen=True)
 class ExactResidueSet:
-    """Distinct log-length residues (s_1 a_1/b_1 + ... mod 1) as exact fractions.
+    """Distinct log-length residues (s_1 a_1/b_1 + ... mod 1) as their classes u/lcm.
 
-    residues are multiples of 1/lcm in [0,1); adding the carried offset
-    (frac of N*log_base(pm)) gives the floating-point positions.
+    classes holds the integers u in [0, lcm), ascending; residues builds the
+    exact Fractions u/lcm on read.  Adding the carried offset (frac of
+    N*log_base(pm)) gives the floating-point positions.
     """
 
-    residues: tuple[Fraction, ...]
-    count: int
+    classes: tuple[int, ...]
     lcm: int
     denominator_bound: int
     offset: float
 
+    @property
+    def residues(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(u, self.lcm) for u in self.classes)
+
+    @property
+    def count(self) -> int:
+        return len(self.classes)
+
     def float_positions(self) -> np.ndarray:
-        """Residues shifted by the offset and reduced mod 1 by _frac, as floats in [0,1), sorted."""
-        return np.sort(_frac(np.array([float(f) for f in self.residues]) + self.offset))
+        """Residues shifted by the offset and reduced mod 1 by _frac, as floats in [0,1), sorted.
+
+        u / lcm is int true division, correctly rounded as float(Fraction(u, lcm)) is."""
+        return np.sort(_frac(np.array([u / self.lcm for u in self.classes]) + self.offset))
 
 
 @dataclass(frozen=True)
@@ -146,17 +155,6 @@ def _class_shifts(pairs: tuple[tuple[int, int], ...]) -> tuple[int, tuple[int, .
     return lcm, tuple(sum(steps[j:]) % lcm for j in range(len(pairs) + 1))
 
 
-_FRACTION_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=_FRACTION_CACHE_SIZE)
-def _class_fraction(v: int, lcm: int) -> Fraction:
-    """The residue class v/lcm as a Fraction in lowest terms, built once per
-    (v, lcm) while it stays in the cache; a Fraction is immutable, so every
-    walk with the same lcm shares it."""
-    return Fraction(v, lcm)
-
-
 def exact_residues_rational(y, N: int, base_offset: float = 0.0) -> ExactResidueSet:
     """Distinct residues of sum_i s_i * a_i/b_i mod 1 over all stage-N sticks.
 
@@ -166,12 +164,9 @@ def exact_residues_rational(y, N: int, base_offset: float = 0.0) -> ExactResidue
     layers only grow and the walk ends after N layers or at the first that
     adds no class.  count <= L <= prod b_i, and count = L once N >= L - 1
     (the shifts generate Z_L).  Exact integer arithmetic; no float merging.
+    The result keeps the reached classes u as ints; its residues are the
+    Fractions u/L, built when read.
     base_offset must be finite (ValueError otherwise).
-
-    The residues are shared, immutable Fraction objects: each class u/L is
-    built once and kept in a bounded cache (_class_fraction), so calls with
-    the same L return the same objects while they stay in it.  A walk that
-    reaches more classes than the cache holds builds its own.
     """
     if N < 0:
         raise ValueError(f"need N >= 0, got {N}")
@@ -185,13 +180,8 @@ def exact_residues_rational(y, N: int, base_offset: float = 0.0) -> ExactResidue
         if not frontier:
             break
         seen |= frontier
-    # a walk that reaches more classes than the cache holds would evict each
-    # of its own before reusing it, so it builds them directly
-    fraction = _class_fraction if len(seen) <= _FRACTION_CACHE_SIZE else Fraction
-    residues = tuple(map(fraction, sorted(seen), repeat(lcm)))
     return ExactResidueSet(
-        residues=residues,
-        count=len(residues),
+        classes=tuple(sorted(seen)),
         lcm=lcm,
         denominator_bound=math.prod(b for _, b in pairs),
         # the residue scans pass the default 0.0: a zero offset, + or -, reduces to +0.0 with no numpy call

@@ -227,8 +227,8 @@ def reference_residue_walk(y, N, base_offset):
 
 def walk_cases():
     """(y, Ns, base_offset per N): fig3-fig6 at N = 0..L+2 and 600, with the
-    offset the engine carries, and y = 1/5003, whose 5003 classes are more
-    than the class cache holds, up to N = 10^4."""
+    offset the engine carries, and y = 1/5003, whose walk reaches up to 5003
+    classes, up to N = 10^4."""
     for y in FIGURE_EXPONENTS.values():
         p_last = proportions_from_exponents(ExponentSpec(tuple(y))).p[-1]
         L = math.lcm(*(f.denominator for f in y))
@@ -240,7 +240,7 @@ def walk_cases():
 def test_walk_matches_reference(y, Ns, offset_at):
     for N in Ns:
         expected = reference_residue_walk(y, N, offset_at(N))
-        for _ in range(2):  # the second call finds its classes in the cache
+        for _ in range(2):  # the second call reuses _class_shifts' cached shifts
             res = exact_residues_rational(y, N, base_offset=offset_at(N))
             assert all(type(f) is Fraction for f in res.residues)
             assert (res.residues, res.count, res.lcm, res.denominator_bound, res.offset) == expected, N
@@ -257,6 +257,29 @@ def test_offset_and_positions_reduce_by_array_frac(x):
     assert res.offset.hex() == expected.hex()
     expected_positions = sorted(float(_frac(np.array([float(f) + res.offset]))[0]) for f in res.residues)
     assert [v.hex() for v in res.float_positions().tolist()] == [v.hex() for v in expected_positions]
+
+
+@pytest.mark.parametrize("y,Ns", [*((y, [0, 1, 5, 40, 600]) for y in FIGURE_EXPONENTS.values()),
+                                  ([Fraction(1, 5003)], [10_000])], ids=[*FIGURE_EXPONENTS, "y-1-5003"])
+def test_classes_are_ascending_ints_behind_residues_and_count(y, Ns):
+    for N in Ns:
+        res = exact_residues_rational(y, N)
+        assert all(type(u) is int for u in res.classes), N
+        assert list(res.classes) == sorted(set(res.classes)), N
+        assert 0 <= res.classes[0] and res.classes[-1] < res.lcm, N
+        assert res.residues == tuple(Fraction(u, res.lcm) for u in res.classes), N
+        assert res.count == len(res.classes), N
+
+
+def test_float_positions_past_int64_lcm_match_fraction_floats():
+    # lcm = 7 (2^64 + 166) does not fit an int64, and two of its classes
+    # round differently through float(u) / float(lcm): each u / lcm must
+    # round once, as float(Fraction(u, lcm)) does
+    res = exact_residues_rational([Fraction(1, 2**64 + 166), Fraction(1, 7)], 3, base_offset=0.125)
+    assert res.lcm > 2**64
+    assert any(u / res.lcm != float(u) / float(res.lcm) for u in res.classes)
+    expected = np.sort(_frac(np.array([float(f) for f in res.residues]) + res.offset))
+    assert [v.hex() for v in res.float_positions().tolist()] == [v.hex() for v in expected.tolist()]
 
 
 def tally_cases():
