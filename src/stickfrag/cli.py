@@ -79,11 +79,6 @@ def _write_outputs(args: argparse.Namespace, report, writers: dict) -> int:
     """Write writers' files (name -> write(path)), report.json and manifest.json to --out; print the report."""
     text = json.dumps(report.to_json_dict(), indent=2)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, write in writers.items():
-        write(out_dir / name)
-    with _rewrite(out_dir / "report.json") as out:
-        out.write(f"{text}\n".encode())
     outputs = ["report.json", *writers]
     manifest = {
         "command": " ".join(args.command_echo),
@@ -92,8 +87,17 @@ def _write_outputs(args: argparse.Namespace, report, writers: dict) -> int:
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": outputs,
     }
-    with _rewrite(out_dir / "manifest.json") as out:
-        out.write(f"{json.dumps(manifest, indent=2)}\n".encode())
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, write in writers.items():
+            write(out_dir / name)
+        with _rewrite(out_dir / "report.json") as out:
+            out.write(f"{text}\n".encode())
+        with _rewrite(out_dir / "manifest.json") as out:
+            out.write(f"{json.dumps(manifest, indent=2)}\n".encode())
+    except OSError as exc:
+        _log(f"cannot write the outputs: {exc}")
+        return EXIT_CONFIG
     for name in outputs:
         target = out_dir / name
         if not target.exists() or target.stat().st_size == 0:

@@ -42,11 +42,6 @@ ALIGN_TOL = 1e-9  # atoms of two distributions this close are one location
 _BYTE_LIMIT = 4 << 30
 _CHUNK_ROWS = 1 << 17
 _CSV_BLOCK_ROWS = 1 << 13
-# _merge_atoms sums a cluster of at least this many atoms from its own slice,
-# a shorter one through a gather: the slice's two reductions cost about 5 us
-# a cluster, the gather about 6 ns an atom, so they cross near 1,000 atoms
-# (2 vCPU, numpy 2.4.6)
-_SLICE_MIN_LEN = 1024
 
 
 class Composition(NamedTuple):
@@ -394,25 +389,21 @@ def _merge_atoms(residues: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     order.
 
     Equal weights, passed as one value broadcast (stride 0), are
-    interchangeable, so every sum over them is the same bit for bit and no
-    permutation is built.
+    interchangeable: any index of them reads the one value, so every sum
+    over them is the same bit for bit, no permutation is built and they are
+    read in place, through the same slices and gathers as the residues.
 
     Up to 4096 clusters, each one's residues and weights get their own
-    pairwise sum, which keeps roundoff ~eps*log(n); clusters of one width
-    are summed together, and each gathers its weights through the
-    permutation, with no gather of all of them.  Below 128 atoms numpy sums
-    a row with 8 accumulators over its first 8 floor(W/8) entries and adds
-    the rest in order, so a cluster of L atoms is padded with +0.0 to the
-    width L | 7: the padding only adds +0.0s at the end, which change no sum
-    of non-negative terms, and clusters of 8 lengths share one gather.  From
-    128 atoms numpy splits the sum recursively, and a cluster keeps its own
-    length.  From _SLICE_MIN_LEN atoms each cluster's slice of the residues
-    (and of the permutation) is reduced where it lies; below it, one
-    (k, W) gather is reduced by rows.  Equal weights are not gathered at
-    all: each cluster's mass is the sum of np.full(L, w), made once per
-    length.  numpy blocks the pairwise sum of a C-contiguous row the same
-    way whether it is a 1-d slice, a row of a 2-d reduction or a fresh
-    array, so each way gives the bits of the cluster's own slice sum.
+    pairwise sum, which keeps roundoff ~eps*log(n).  Below 128 atoms numpy
+    sums a row with 8 accumulators over its first 8 floor(W/8) entries and
+    adds the rest in order, so a cluster of L atoms is padded with +0.0 to
+    the width L | 7: the padding only adds +0.0s at the end, which change no
+    sum of non-negative terms, and the clusters of one width (8 lengths)
+    are summed as one (k, W) gather reduced by rows.  From 128 atoms numpy
+    splits the sum recursively, and each cluster's slice is reduced where
+    it lies.  numpy blocks the pairwise sum of a row the same way whether it
+    is a 1-d slice, a stride-0 view or a row of a 2-d reduction, so each way
+    gives the bits of the cluster's own slice sum.
     """
     equal = weights.strides == (0,)
     if not equal:
@@ -432,20 +423,13 @@ def _merge_atoms(residues: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
         mass = np.bincount(cid, weights=weights, minlength=n_clusters)
         rep = np.bincount(cid, weights=residues, minlength=n_clusters) / lens
         return rep, mass
-    if equal:
-        distinct, inverse = np.unique(lens, return_inverse=True)
-        mass = np.array([np.add.reduce(np.full(L, weights[0])) for L in distinct.tolist()])[inverse]
-    else:
-        mass = np.empty(n_clusters)
-
-        def weights_at(index):
-            return weights[order[index]]
-    rep_sums = np.empty(n_clusters)
+    weights_at = weights.__getitem__ if equal else lambda index: weights[order[index]]
+    rep_sums, mass = np.empty(n_clusters), np.empty(n_clusters)
     width = np.where(lens < 128, lens | 7, lens)
     by_width = np.argsort(width, kind="stable")
     for sel in np.split(by_width, np.flatnonzero(np.diff(width[by_width])) + 1):
         W = int(width[sel[0]])
-        if W >= _SLICE_MIN_LEN:
+        if W >= 128:
             slices = [slice(s, s + W) for s in starts[sel].tolist()]
 
             def cluster_sums(take):
@@ -460,8 +444,7 @@ def _merge_atoms(residues: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
                 x[pad] = 0.0
                 return np.add.reduce(x, axis=1)
         rep_sums[sel] = cluster_sums(residues.__getitem__)
-        if not equal:
-            mass[sel] = cluster_sums(weights_at)
+        mass[sel] = cluster_sums(weights_at)
     return rep_sums / lens, mass
 
 

@@ -503,6 +503,31 @@ def test_out_naming_a_file_exits_2(fig3_config, tmp_path, command, sub):
     assert blocker.read_text() == "keep me\n"
 
 
+@pytest.mark.parametrize("command,blocked,link", [
+    (["analyze", "--N", "5"], "distribution.csv", False),
+    (["simulate", "--N", "5", "--samples", "10", "--seed", "1"], "samples.csv", False),
+    (["analyze", "--N", "5"], "report.json", True),
+], ids=["analyze-dir", "simulate-dir", "analyze-dangling-link"])
+def test_out_with_an_unwritable_output_exits_2(fig3_config, tmp_path, command, blocked, link):
+    # --out passes the parser, but one declared output is a directory or a
+    # dangling link, which open() refuses after the work
+    out = tmp_path / "out"
+    out.mkdir()
+    if link:
+        (out / blocked).symlink_to(tmp_path / "missing" / "x")
+    else:
+        (out / blocked).mkdir()
+    proc = run_cli(*command, "--config", str(fig3_config), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "cannot write the outputs: " in proc.stderr
+    if link:
+        assert (out / blocked).is_symlink() and not (tmp_path / "missing").exists()
+    else:
+        assert (out / blocked).is_dir()
+
+
 def test_out_naming_a_dangling_link_exits_2(fig3_config, tmp_path):
     link = tmp_path / "L"
     link.symlink_to(tmp_path / "missing" / "x")

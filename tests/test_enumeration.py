@@ -34,7 +34,6 @@ from stickfrag.enumeration import (
     MEASURES,
     MERGE_TOL,
     _CHUNK_ROWS,
-    _SLICE_MIN_LEN,
     _atom_table,
     _cluster_starts,
     _count_text,
@@ -503,13 +502,16 @@ CLUSTER_LENS = [
     [100_000],  # one big cluster
     [100_000, 100_000, 9],  # two big clusters of one length
     [1] * 2000,  # singletons
-    # lengths on both sides of the bound from which clusters are summed as slices
-    [_SLICE_MIN_LEN - 1] * 3 + [_SLICE_MIN_LEN] * 3 + [_SLICE_MIN_LEN + 1] * 2 + [5] * 50,
+    # lengths on both sides of 1024, all summed as slices
+    [1023] * 3 + [1024] * 3 + [1025] * 2 + [5] * 50,
     # every length that is padded to a width of 8 lengths, the first ones
-    # summed at their own length, and both sides of the slice bound
+    # summed at their own length, and both sides of 1024
     list(range(1, 131)) + [1023, 1024, 1025],
+    # lengths on both sides of the bound from which clusters are summed as
+    # slices rather than padded gathers
+    [127] * 3 + [128] * 3 + [129] * 2 + [5] * 50,
 ]
-CLUSTER_IDS = ["shared", "distinct", "big", "big-pair", "singletons", "slice-bound", "every-short"]
+CLUSTER_IDS = ["shared", "distinct", "big", "big-pair", "singletons", "slice-bound", "every-short", "pad-bound"]
 
 
 def equal_weight_merge_matches_reference(residues, c):
