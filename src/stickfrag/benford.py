@@ -23,11 +23,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .enumeration import WeightedMod1Distribution, _cluster_differences, _write_csv
+from .enumeration import WeightedMod1Distribution, _cluster_differences, _count_text, _refuse_above_byte_limit, _write_csv
 from .model import log_base
 
 SIGNIFICAND_SNAP = 1e-12
 DEFAULT_KS_THRESHOLD = 0.02
+
+# Upper bound on the bytes a report holds per digit of its base, checked
+# against tracemalloc peaks over benford_report, digits.csv, the report's
+# JSON and its print: 152 B a digit at bases 5*10^4 to 10^6 with every
+# frequency printed at 21 characters, 2 B more a character (116 B when they
+# print as "0.0"); the widest frequency, 23 characters, would add 4 B.  The
+# CSV writer's block of 8,192 rows peaks up to 2.2 MB above the estimate at
+# small bases, far below any limit the guard is meant for.
+_DIGIT_BYTES = 160
 
 CONSISTENT = "ConsistentWithBenford"
 INCONSISTENT = "Inconsistent"
@@ -125,16 +134,27 @@ def star_discrepancy(dist: WeightedMod1Distribution) -> float:
     return _ks_and_discrepancy(dist, _cdf(dist))[1]
 
 
+def _digits(base: int) -> np.ndarray:
+    """The integers 1..base, from which every table of digits is built.
+
+    ValueError unless base is an int >= 2; ResourceLimitError, before any
+    table is built, when _DIGIT_BYTES a digit (in Python ints, so a huge base
+    never reaches numpy) exceeds the byte limit.
+    """
+    if not isinstance(base, int) or base < 2:
+        raise ValueError(f"base must be an integer >= 2, got {base!r}")
+    _refuse_above_byte_limit(_DIGIT_BYTES * base, f"the digit tables of base {_count_text(base)}")
+    return np.arange(1, base + 1)
+
+
 def benford_expected(base: int = 10) -> np.ndarray:
     """Benford frequencies log_base((d+1)/d) for digits 1..base-1."""
-    d = np.arange(1, base)
+    d = _digits(base)[:-1]
     return np.log(1.0 + 1.0 / d) / math.log(base)
 
 
 def _digit_masses(dist: WeightedMod1Distribution, cdf: np.ndarray, base: int) -> np.ndarray:
-    if not isinstance(base, int) or base < 2:
-        raise ValueError(f"base must be an integer >= 2, got {base!r}")
-    edges = np.log(np.arange(1, base + 1)) / math.log(base)
+    edges = np.log(_digits(base)) / math.log(base)
     edges[0] = 0.0
     edges[-1] = 1.0
     idx = np.searchsorted(dist.residues, edges, side="left")

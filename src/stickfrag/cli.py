@@ -22,7 +22,7 @@ from .enumeration import (
     MEASURE_UNIFORM,
     MEASURES,
     _count_text,
-    _rewrite,
+    _write_json,
     exact_distribution,
     rotate_distribution,
     write_distribution_csv,
@@ -77,32 +77,23 @@ def _load_model(args: argparse.Namespace):
 
 def _write_outputs(args: argparse.Namespace, report, writers: dict) -> int:
     """Write writers' files (name -> write(path)), report.json and manifest.json to --out; print the report."""
-    text = json.dumps(report.to_json_dict(), indent=2)
-    out_dir = Path(args.out)
-    outputs = ["report.json", *writers]
     manifest = {
         "command": " ".join(args.command_echo),
         "config_sha256": args.config_sha256,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "outputs": outputs,
+        "outputs": ["report.json", *writers],
     }
+    files = {**writers, "report.json": partial(_write_json, report.to_json_dict()),
+             "manifest.json": partial(_write_json, manifest)}
+    out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, write in writers.items():
-            write(out_dir / name)
-        with _rewrite(out_dir / "report.json") as out:
-            out.write(f"{text}\n".encode())
-        with _rewrite(out_dir / "manifest.json") as out:
-            out.write(f"{json.dumps(manifest, indent=2)}\n".encode())
+        written = {name: write(out_dir / name) for name, write in files.items()}
     except OSError as exc:
         _log(f"cannot write the outputs: {exc}")
         return EXIT_CONFIG
-    for name in outputs:
-        target = out_dir / name
-        if not target.exists() or target.stat().st_size == 0:
-            raise RuntimeError(f"declared output {name} missing or empty")
-    print(text)
+    print(written["report.json"], end="")
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ only after subtracting the running maximum.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import stat
@@ -148,6 +149,14 @@ def _write_csv(path: str | Path, header: str, *columns) -> None:
             for j, b in enumerate(block):
                 fields[j::width] = next(texts) if isinstance(b[0], float) else b
             out.write((row * len(block[0]) % tuple(fields)).encode())
+
+
+def _write_json(obj, path: str | Path) -> str:
+    """Write json.dumps(obj, indent=2) and a newline through _rewrite, as _write_csv does; return that text."""
+    text = f"{json.dumps(obj, indent=2)}\n"
+    with _rewrite(path) as out:
+        out.write(text.encode())
+    return text
 
 
 def _kahan_columns(K: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:

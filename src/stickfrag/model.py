@@ -357,7 +357,7 @@ def read_config(path: str | Path) -> tuple[object, bytes]:
         return json.loads(text), data
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an int of over 4300 digits, a deep nesting
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 

@@ -14,7 +14,6 @@ not depend on how many workers consumed the chunks.  Generator: numpy PCG64.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -32,8 +31,8 @@ from .enumeration import (
     _frac,
     _refuse_above_byte_limit,
     _residues,
-    _rewrite,
     _write_csv,
+    _write_json,
     distribution_from_residues,
 )
 from .model import ProportionVector, log_base
@@ -198,5 +197,4 @@ def write_metadata_json(config: SamplerConfig, N: int, base: int, config_echo: d
         "base": base,
         "config": config_echo,
     }
-    with _rewrite(path) as out:
-        out.write(f"{json.dumps(meta, indent=2)}\n".encode())
+    _write_json(meta, path)

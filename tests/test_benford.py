@@ -1,4 +1,7 @@
 import math
+import os
+import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -26,8 +29,9 @@ from stickfrag import (
     significand,
     star_discrepancy,
 )
-from stickfrag.benford import _cumsum_compensated
-from stickfrag.enumeration import _cluster_starts, build_distribution
+from stickfrag.benford import _DIGIT_BYTES, _cumsum_compensated, write_digits_csv
+from stickfrag.enumeration import _cluster_starts, _write_json, build_distribution
+from stickfrag.errors import ResourceLimitError
 
 FIG7 = proportions_from_exponents(ExponentSpec((Fraction(-1, 2), -math.sqrt(2))))
 FIG9 = proportions_from_exponents(ExponentSpec((-math.sqrt(2), Fraction(-1, 3), Fraction(-1, 4))))
@@ -219,6 +223,55 @@ class TestLeadingDigits:
 def test_argument_checks(call, fragment):
     with pytest.raises(ValueError, match=fragment):
         call()
+
+
+class TestDigitTableGuard:
+    """A base whose digit tables would pass the byte limit is refused before any is built."""
+
+    @pytest.mark.parametrize("base,line", [
+        (10**12, "the digit tables of base 1000000000000 need an estimated 160000000000000 bytes"),
+        (10**30, "the digit tables of base about 10^30.0 need an estimated about 10^32.2 bytes"),
+    ], ids=["1e12", "1e30"])
+    @pytest.mark.parametrize("call", [
+        lambda dist, base, path: benford_report(dist, base),
+        lambda dist, base, path: leading_digit_histogram(dist, base),
+        lambda dist, base, path: benford_expected(base),
+        lambda dist, base, path: chi2_vs_benford([1.0], base),
+        lambda dist, base, path: write_digits_csv([1.0], base, path),
+    ], ids=["benford_report", "leading_digit_histogram", "benford_expected", "chi2_vs_benford",
+            "write_digits_csv"])
+    def test_refused_fast_and_small(self, call, base, line, tmp_path, traced_peak):
+        dist, path = dist_of([(0.3, 1.0)]), tmp_path / "digits.csv"
+
+        def refused():
+            with pytest.raises(ResourceLimitError, match=f"^{re.escape(line)}, above the limit of 4294967296 bytes$"):
+                call(dist, base, path)
+
+        start = time.perf_counter()
+        refused()
+        assert time.perf_counter() - start < 0.01
+        assert traced_peak(refused) < 64 << 10
+        assert not path.exists()
+
+    @pytest.mark.parametrize("base", [5 * 10**4, 10**5])
+    def test_estimate_bounds_report_json_and_digits(self, base, tmp_path, traced_peak):
+        # one atom inside each digit's bin with unequal masses, so every
+        # frequency prints at full width in the report's JSON
+        d = np.arange(1, base, dtype=float)
+        masses = np.random.default_rng(1).random(base - 1) + 0.5
+        dist = build_distribution(np.log(d + 0.5) / math.log(base), masses / masses.sum(), MEASURE_UNIFORM, 1, 2)
+
+        def report_and_outputs():
+            # what the CLI holds of the report while it writes digits.csv,
+            # report.json and prints the report
+            report = benford_report(dist, base)
+            write_digits_csv(report.leading_digit_freqs, base, tmp_path / "digits.csv")
+            text = _write_json(report.to_json_dict(), tmp_path / "report.json")
+            with open(os.devnull, "w") as sink:
+                print(text, end="", file=sink)
+            assert len(text) > 25 * base
+
+        assert traced_peak(report_and_outputs) <= _DIGIT_BYTES * base
 
 
 class TestVerdict:

@@ -123,6 +123,32 @@ def test_non_utf8_config_exits_2(tmp_path, command):
     assert not (tmp_path / "o").exists()
 
 
+# json.loads refuses an integer of more than sys.get_int_max_str_digits()
+# digits (4300 by default, from Python 3.11 and the 3.10 security releases)
+INT_DIGITS_LIMITED = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 5000
+
+
+@pytest.mark.parametrize("command", [
+    ["classify"],
+    ["analyze", "--N", "5", "--out", "o"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("text,refused", [
+    ("[" * 100000 + "]" * 100000, True),
+    ('{"proportions": [1%s]}' % ("0" * 4999), INT_DIGITS_LIMITED),
+], ids=["deep-nesting", "int-5000-digits"])
+def test_json_the_decoder_refuses_exits_2(tmp_path, command, text, refused):
+    # a RecursionError or an int() refusal inside json.loads is a config error
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    proc = run_cli(*command, "--config", str(cfg), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    prefix = f"config error: config {cfg} is not valid JSON: " if refused else "config error: "
+    assert proc.stderr.startswith(prefix), proc.stderr
+    assert "Traceback" not in proc.stderr and len(proc.stderr.encode()) < 1000
+    assert not (tmp_path / "o").exists()
+
+
 class TestAnalyze:
     def test_outputs_and_stdout(self, fig3_config, tmp_path):
         out_dir = tmp_path / "run"
@@ -354,9 +380,20 @@ class TestHugeCounts:
             (None, ["simulate", "--N", "5", "--samples", str(10**4299), "--seed", "1", "--out", "x"], 3,
              "about 10^4299.0 samples need an estimated about 10^4300.9 bytes, above the limit of "
              "4294967296 bytes"),
+            *[(base_config, [*command, "--out", "x"], 3, line)
+              for command in (["analyze", "--N", "5"], ["simulate", "--N", "5", "--samples", "10", "--seed", "1"])
+              for base_config, line in (
+                  ({"exponents": [{"rational": [-1, 3]}], "base": 10**12},
+                   "the digit tables of base 1000000000000 need an estimated 160000000000000 bytes, "
+                   "above the limit of 4294967296 bytes"),
+                  ({"exponents": [{"rational": [-1, 3]}], "base": 10**30},
+                   "the digit tables of base about 10^30.0 need an estimated about 10^32.2 bytes, "
+                   "above the limit of 4294967296 bytes"),
+              )],
         ],
         ids=["brute-power-digits", "brute-power-time", "analyze-N", "analyze-N-digits", "analyze-count",
-             "simulate-N", "simulate-samples"],
+             "simulate-N", "simulate-samples", "analyze-base-1e12", "analyze-base-1e30", "simulate-base-1e12",
+             "simulate-base-1e30"],
     )
     def test_refused_in_one_line(self, config, args, code, line, fig7_config, tmp_path):
         cfg = fig7_config
@@ -526,6 +563,27 @@ def test_out_with_an_unwritable_output_exits_2(fig3_config, tmp_path, command, b
         assert (out / blocked).is_symlink() and not (tmp_path / "missing").exists()
     else:
         assert (out / blocked).is_dir()
+
+
+@pytest.mark.parametrize("command,linked", [
+    (["analyze", "--N", "5"], "distribution.csv"),
+    (["simulate", "--N", "5", "--samples", "10", "--seed", "1"], "samples.csv"),
+], ids=["analyze", "simulate"])
+def test_out_with_a_link_to_dev_null_is_written_through(fig3_config, tmp_path, command, linked):
+    # the link is opened and written like any target; a file that is not
+    # regular holds nothing afterwards, and the run still succeeds
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / linked).symlink_to(os.devnull)
+    proc = run_cli(*command, "--config", str(fig3_config), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.encode() == (out / "report.json").read_bytes()
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(path.name for path in out.iterdir()) == sorted([*outputs, "manifest.json"])
+    for name in outputs:
+        assert (out / name).is_symlink() if name == linked else (out / name).stat().st_size > 0
+    assert os.readlink(out / linked) == os.devnull
 
 
 def test_out_naming_a_dangling_link_exits_2(fig3_config, tmp_path):
