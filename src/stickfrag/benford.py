@@ -134,16 +134,19 @@ def star_discrepancy(dist: WeightedMod1Distribution) -> float:
     return _ks_and_discrepancy(dist, _cdf(dist))[1]
 
 
-def _digits(base: int) -> np.ndarray:
-    """The integers 1..base, from which every table of digits is built.
-
-    ValueError unless base is an int >= 2; ResourceLimitError, before any
-    table is built, when _DIGIT_BYTES a digit (in Python ints, so a huge base
-    never reaches numpy) exceeds the byte limit.
-    """
+def _check_digit_base(base: int) -> None:
+    """ValueError unless base is an int >= 2; ResourceLimitError when its
+    digit tables, _DIGIT_BYTES a digit (in Python ints, so a huge base never
+    reaches numpy), would exceed the byte limit.  analyze and simulate call
+    it on their config's base before the engine or the sampler runs."""
     if not isinstance(base, int) or base < 2:
         raise ValueError(f"base must be an integer >= 2, got {base!r}")
     _refuse_above_byte_limit(_DIGIT_BYTES * base, f"the digit tables of base {_count_text(base)}")
+
+
+def _digits(base: int) -> np.ndarray:
+    """The integers 1..base, from which every table of digits is built, once _check_digit_base passes."""
+    _check_digit_base(base)
     return np.arange(1, base + 1)
 
 

@@ -17,7 +17,7 @@ from functools import cache, partial
 from pathlib import Path
 
 from . import __version__
-from .benford import DEFAULT_KS_THRESHOLD, benford_report, star_discrepancy, write_digits_csv
+from .benford import DEFAULT_KS_THRESHOLD, _check_digit_base, benford_report, star_discrepancy, write_digits_csv
 from .enumeration import (
     MEASURE_UNIFORM,
     MEASURES,
@@ -131,6 +131,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     model, spec, _ = _load_model(args)
     base = spec.base
+    _check_digit_base(base)  # refused before the engine runs, with no pointer to simulate
     _log(f"analyzing m={model.m} N={args.N} measure={args.measure}")
     try:
         dist = exact_distribution(model, args.N, base, args.measure)
@@ -168,6 +169,7 @@ def cmd_brute(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     model, spec, raw_config = _load_model(args)
+    _check_digit_base(spec.base)
     config = SamplerConfig(
         seed=args.seed, samples=args.samples, mode=FixedProportions(model), measure=args.measure
     )

@@ -183,26 +183,37 @@ def _residues(K: np.ndarray, p: Sequence[float], base: int) -> np.ndarray:
     return _frac(_kahan_columns(K, [log_base(x, base) for x in p]))
 
 
-def _row_sums(T: np.ndarray) -> np.ndarray:
-    """T.sum(axis=1) bit for bit, for a 2-d float64 T of lgamma values.
+def _lgamma_sums(lgt: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """lgt[K].sum(axis=1) bit for bit: each composition row's sum of lgamma(k + 1).
 
-    Below 8 columns the columns are added in order into T[:, 0], which is
-    returned: T is overwritten, and no second (rows, m) table is allocated.
-    numpy reduces each row with its own pairwise-sum call, which for short
-    rows costs several times the adds (m=3: 0.60 against 0.15 ms for
-    20,301 rows).  A row shorter than 8 it adds in order, starting from
-    +0.0, so the column adds give the same bits unless a row starts with
-    -0.0.  An lgamma table holds no -0.0 (lgamma(1) = lgamma(2) = +0.0).
+    Below 8 columns the column gathers lgt[K[:, j]] are added in order into
+    the first, so no (rows, m) table is built.  numpy reduces such a row in
+    order, starting from +0.0, so the adds give the same bits unless a row
+    starts with -0.0, and an lgamma table holds none (lgamma(1) = +0.0).
     From 8 columns numpy keeps 8 accumulators.  A port of that order
     matched it bit for bit but was slower per 131,072-row chunk (m=10: 8.8
     against 7.7 ms; m=200: 3x), so there numpy's reduction stays.
     """
-    if T.shape[1] >= 8:
-        return T.sum(axis=1)
-    s = T[:, 0]
-    for j in range(1, T.shape[1]):
-        s += T[:, j]
+    if K.shape[1] >= 8:
+        return lgt[K].sum(axis=1)
+    s = lgt[K[:, 0]]
+    for j in range(1, K.shape[1]):
+        s += lgt[K[:, j]]
     return s
+
+
+def _log_masses(
+    K: np.ndarray, logmult: np.ndarray, model: ProportionVector, measure: str, out: np.ndarray
+) -> np.ndarray:
+    """Log-masses under measure of the composition rows of K, written into out and returned.
+
+    logmult holds each row's log multinomial coefficient, lgamma(N + 1) -
+    sum lgamma(k + 1).  The arithmetic is elementwise per row, so a row's
+    mass does not depend on the block it sits in.
+    """
+    if measure == MEASURE_UNIFORM:
+        return np.subtract(logmult, int(K[0].sum()) * math.log(K.shape[1]), out=out)
+    return np.add(logmult, _kahan_columns(K, [math.log(p) for p in model.p]), out=out)
 
 
 def composition_count(N: int, m: int) -> int:
@@ -247,13 +258,16 @@ def _peak_bytes(N: int, m: int) -> int:
       its remainder column next (8m + 8, plus 16 a previous row) is below
       this term for N <= (m-1)^2 and the atom table's for N >= m-1;
     - the atom table: the composition table and the residue and log-mass
-      table, 8m + 16, plus one chunk's temporaries, max(8m + 8, 40) a row;
+      table, 8m + 16, plus one chunk's temporaries, max(8m + 8, 40) a row.
+      Traced per chunk at m = 2..10, these are 40 below 8 columns (the
+      length measure's compensated sum beside the log multinomials) and
+      8m + 8 from 8 (the lgamma gather and its sums), so at m = 5..7 the
+      term is above them;
     - the merge: the atom table, whose residues it sorts in place, and the
       cluster arrays and sums, 56 (traced at m=3, N=1200).  The term is 72,
-      fitted when the merge made sorted copies (64), and it also bounds
-      rotate_distribution on the result: the unrotated distribution (16),
-      the rotated residues (8) and the merge's own arrays (40), traced at
-      64.1 B, so analyze --length stays inside it too.
+      and it also bounds rotate_distribution on the result: the unrotated
+      distribution (16), the rotated residues (8) and the merge's own
+      arrays (40), traced at 64.1 B, so analyze --length stays inside it.
     The lgamma table adds 8 B a stage, and fixed-size buffers (measured up
     to 0.25 MB) are covered by 1 MiB.
     """
@@ -337,8 +351,9 @@ def atom_for(
     residue is the fractional part of sum k_j * log_base(p_j), accumulated
     with compensated summation.  Uniform mass divides the multinomial count
     by m^N; length mass multiplies it by the leaf length.  Computed by the
-    enumeration engine's own atom table on a one-row block, so it returns
-    exactly what exact_distribution aggregates for this composition.
+    engine's _residues and _log_masses on a one-row block, from numpy's row
+    sum of the parts' lgamma values, which _lgamma_sums reproduces, so it
+    returns exactly what exact_distribution aggregates for this composition.
     """
     counts = k.k if isinstance(k, Composition) else tuple(int(x) for x in k)
     if len(counts) != model.m:
@@ -346,11 +361,9 @@ def atom_for(
     if any(c < 0 for c in counts):
         raise ValueError(f"{counts} has a negative part")
     K = np.array([counts], dtype=np.int64)
-    lg_parts = np.array([[math.lgamma(c + 1) for c in counts]])
-    out = np.empty((1 + len(MEASURES), 1))
-    _atom_table(K, math.lgamma(sum(counts) + 1) - _row_sums(lg_parts), model, base, MEASURES, out)
-    residue, log_mass_uniform, log_mass_length = out[:, 0].tolist()
-    return residue, log_mass_uniform, log_mass_length
+    logmult = math.lgamma(sum(counts) + 1) - np.array([[math.lgamma(c + 1) for c in counts]]).sum(axis=1)
+    atom = [_residues(K, model.p, base), *(_log_masses(K, logmult, model, x, np.empty(1)) for x in MEASURES)]
+    return tuple(np.concatenate(atom).tolist())
 
 
 def _cluster_starts(points: np.ndarray, tol: float) -> np.ndarray:
@@ -486,32 +499,6 @@ def distribution_from_residues(
     return build_distribution(r, np.broadcast_to(1.0 / n, n), measure, N, m)
 
 
-def _atom_table(
-    K: np.ndarray,
-    logmult: np.ndarray,
-    model: ProportionVector,
-    base: int,
-    measures: Sequence[str],
-    out: np.ndarray,
-) -> None:
-    """Residues, and log-masses for each of measures, of a block of composition rows.
-
-    They are written into the rows of out, shape (1 + len(measures), len(K)):
-    residues first, then one row of log-masses per measure.  logmult holds
-    each row's log multinomial coefficient, lgamma(N + 1) - sum lgamma(k + 1).
-    The arithmetic is elementwise per row, so a row's atom does not depend on
-    the block it sits in; atom_for is this function on a one-row block.
-    """
-    N = int(K[0].sum())
-    m = K.shape[1]
-    out[0] = _residues(K, model.p, base)
-    for measure, logmass in zip(measures, out[1:]):
-        if measure == MEASURE_UNIFORM:
-            np.subtract(logmult, N * math.log(m), out=logmass)
-        else:
-            np.add(logmult, _kahan_columns(K, [math.log(p) for p in model.p]), out=logmass)
-
-
 def exact_distribution(
     model: ProportionVector,
     N: int,
@@ -558,15 +545,15 @@ def exact_distribution(
     table = np.empty((2, len(K)))
     for i in range(0, len(K), _CHUNK_ROWS):
         c = K[i:i + _CHUNK_ROWS]
-        _atom_table(c, lgt[N] - _row_sums(lgt[c]), model, base, (measure,), table[:, i:i + len(c)])
+        table[0, i:i + len(c)] = _residues(c, model.p, base)
+        _log_masses(c, lgt[N] - _lgamma_sums(lgt, c), model, measure, table[1, i:i + len(c)])
     del K, c  # c is a view that would keep the composition table alive
     residues, logmass = table
     peak = float(logmass.max())
     logmass -= peak
     np.exp(logmass, out=logmass)
     rep, mass = _merge_atoms(residues, logmass)
-    if peak != 0.0:  # undo the peak shift; total returns to 1 up to roundoff
-        mass = mass * math.exp(peak)
+    mass *= math.exp(peak)  # undo the peak shift; total returns to 1 up to roundoff
     total = float(mass.sum())
     if abs(total - 1.0) > 1e-10:
         # the float lgamma(N + 1) and N log m round at about ulp(N ln N), the

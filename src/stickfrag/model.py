@@ -15,7 +15,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import Union
 
@@ -31,6 +32,11 @@ NORMALIZATION_SLACK = 1e-12
 DEFAULT_MAX_DENOMINATOR = 10**6
 DEFAULT_TOLERANCE = 1e-13  # see README: must sit below 1/max_denominator**2
 MAX_CF_TERMS = 64  # partial quotients _convergents reads before giving up
+# read_config refuses a larger file, so no config is read until memory runs
+# out (/dev/zero has no end).  Reading and parsing peak at up to 46 B a byte
+# (tracemalloc: lists nested 500 deep; [[],[],...] 24, [1e-9,...] 19), so at
+# most 1.5 GB at this cap, about a third of the engines' 4 GiB byte limit.
+_CONFIG_BYTES = 32 << 20
 
 Exponent = Union[Fraction, float]
 
@@ -343,15 +349,20 @@ def parse_config(data: dict) -> tuple[ProportionVector, ExponentSpec]:
 
 def read_config(path: str | Path) -> tuple[object, bytes]:
     """The decoded JSON of a configuration file, unparsed, and the bytes it was
-    decoded from; ConfigError if unreadable or not UTF-8 JSON.
+    decoded from; ConfigError if unreadable, larger than _CONFIG_BYTES or not
+    UTF-8 JSON.
 
     Line ends are translated as a text-mode read (universal newlines) does,
     so a JSON error names the character position such a read would give.
     """
     try:
-        data = Path(path).read_bytes()
+        with Path(path).open("rb") as f:
+            # in 64 KiB blocks: read(n) would allocate all n bytes for a small file too
+            data = b"".join(islice(iter(partial(f.read, 1 << 16), b""), (_CONFIG_BYTES >> 16) + 1))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if len(data) > _CONFIG_BYTES:
+        raise ConfigError(f"config {path} is larger than {_CONFIG_BYTES} bytes")
     try:
         text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         return json.loads(text), data

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import stickfrag.cli as cli
-from stickfrag import enumeration
+from stickfrag import enumeration, model
 from stickfrag.oracle import CrossCheckReport
 
 # subprocesses import the package from this checkout, installed or not
@@ -146,6 +146,52 @@ def test_json_the_decoder_refuses_exits_2(tmp_path, command, text, refused):
     prefix = f"config error: config {cfg} is not valid JSON: " if refused else "config error: "
     assert proc.stderr.startswith(prefix), proc.stderr
     assert "Traceback" not in proc.stderr and len(proc.stderr.encode()) < 1000
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_larger_than_the_cap_exits_2_fast():
+    # /dev/zero has no end: read whole, it would fill the 1 GiB address space
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    started = time.perf_counter()
+    proc = run_cli("classify", "--config", "/dev/zero", preexec_fn=limit_memory, timeout=60)
+    assert time.perf_counter() - started < 1.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"config error: config /dev/zero is larger than {model._CONFIG_BYTES} bytes\n"
+
+
+def test_config_at_the_cap_parses(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(model, "_CONFIG_BYTES", 100)
+    text = '{"proportions": [0.5]}'
+    at_cap, above = tmp_path / "at.json", tmp_path / "above.json"
+    at_cap.write_text(text + " " * (100 - len(text)))
+    above.write_text(text + " " * (101 - len(text)))
+    assert cli.main(["classify", "--config", str(at_cap)]) == 0
+    assert json.loads(capsys.readouterr().out)["prediction"] == "NonBenford"
+    assert cli.main(["classify", "--config", str(above)]) == 2
+    assert capsys.readouterr().err == f"config error: config {above} is larger than 100 bytes\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--N", "3000"],
+    ["simulate", "--N", "3000", "--samples", "10", "--seed", "1"],
+], ids=lambda command: command[0])
+def test_digit_tables_refused_before_the_engines(tmp_path, monkeypatch, capsys, command):
+    def engine(*args, **kwargs):
+        raise AssertionError("an engine ran before the digit-table guard")
+
+    monkeypatch.setattr(cli, "exact_distribution", engine)
+    monkeypatch.setattr(cli, "sample_leaf_residues", engine)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"exponents": [{"rational": [-1, 3]}, {"real": -0.41421356237309515}],
+                               "base": 10**12}))
+    code = cli.main([command[0], "--config", str(cfg), *command[1:], "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    # one line, with no pointer to simulate, which builds the same tables
+    assert captured.err == ("the digit tables of base 1000000000000 need an estimated 160000000000000 bytes, "
+                            "above the limit of 4294967296 bytes\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -436,13 +482,14 @@ class TestSimulate:
         assert (a / "samples.csv").read_bytes() != (b / "samples.csv").read_bytes()
 
     def test_byte_guard_exits_3(self, fig7_config, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(enumeration, "_BYTE_LIMIT", 1000)
+        # above the 1,600 B of base 10's digit tables, which are checked first
+        monkeypatch.setattr(enumeration, "_BYTE_LIMIT", 2000)
         code = cli.main(["simulate", "--config", str(fig7_config), "--N", "30", "--samples", "100",
                          "--seed", "1", "--out", str(tmp_path / "s")])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert "100 samples need an estimated 17100 bytes, above the limit of 1000 bytes" in captured.err
+        assert "100 samples need an estimated 17100 bytes, above the limit of 2000 bytes" in captured.err
         assert not (tmp_path / "s").exists()
 
 

@@ -34,12 +34,14 @@ from stickfrag.enumeration import (
     MEASURES,
     MERGE_TOL,
     _CHUNK_ROWS,
-    _atom_table,
     _cluster_starts,
     _count_text,
     _frac,
+    _lgamma_sums,
+    _log_masses,
     _merge_atoms,
     _peak_bytes,
+    _residues,
     composition_array,
 )
 from stickfrag.montecarlo import write_metadata_json, write_samples_csv
@@ -223,18 +225,18 @@ class TestAtomFor:
         )
 
     def test_bit_identical_to_table_rows(self):
-        # the table as exact_distribution builds it, from its lgamma table of
-        # N + 1 values; m=3 and m=5 take _row_sums' column adds, m=8 numpy's
-        # reduction, and the plain row sum is the independent reference
+        # the rows as exact_distribution builds them, from its lgamma table of
+        # N + 1 values and numpy's row sum, which TestRowSums holds
+        # _lgamma_sums to (its column adds at m=3 and m=5, numpy's at m=8)
         for p, N in (([0.17, 0.52], 300), ([0.17, 0.22, 0.08, 0.31], 30),
                      ([0.17, 0.05, 0.22, 0.08, 0.11, 0.09, 0.13], 12)):
             model = make_model(p)
             K = composition_array(N, model.m)
             lgt = np.array([math.lgamma(i + 1) for i in range(N + 1)])
             for base in (10, 7):
-                table = np.empty((1 + len(MEASURES), len(K)))
-                _atom_table(K, lgt[N] - lgt[K].sum(axis=1), model, base, MEASURES, table)
-                residues, lu, ll = table
+                logmult = lgt[N] - lgt[K].sum(axis=1)
+                residues = _residues(K, model.p, base)
+                lu, ll = (_log_masses(K, logmult, model, x, np.empty(len(K))) for x in MEASURES)
                 for i in np.random.default_rng(3).choice(len(K), 200, replace=False).tolist() + [0, len(K) - 1]:
                     got = np.array(atom_for(model, K[i].tolist(), base))
                     assert np.array_equal(got.view(np.int64), np.array([residues[i], lu[i], ll[i]]).view(np.int64))
@@ -262,31 +264,27 @@ class TestRowSums:
         m = request.param
         rng = np.random.default_rng(m)
         lgt = np.array([math.lgamma(i + 1) for i in range(5001)])
-        # gathers of lgamma values (+0.0 at 0 and 1), and positive doubles
-        # with full-precision bits over twenty decades
+        # (lgt, K): random indices into an lgamma table (+0.0 at 0 and 1),
+        # the compositions of 6, and positive doubles with full-precision
+        # bits over twenty decades in place of the lgamma table
         return [
-            lgt[rng.integers(0, len(lgt), size=(4000, m))],
-            lgt[composition_array(6, m)],
-            rng.random((4000, m)) * 10.0 ** rng.uniform(-10, 10, size=(4000, m)),
+            (lgt, rng.integers(0, len(lgt), size=(4000, m))),
+            (lgt, composition_array(6, m)),
+            (rng.random(5001) * 10.0 ** rng.uniform(-10, 10, size=5001), rng.integers(0, 5001, size=(4000, m))),
         ]
 
     def test_bit_identical_to_numpy_row_sum(self, tables):
-        for T in tables:
-            want = T.sum(axis=1)
-            assert np.array_equal(bits(enumeration._row_sums(T)), bits(want))
+        for lgt, K in tables:
+            assert np.array_equal(bits(_lgamma_sums(lgt, K)), bits(lgt[K].sum(axis=1)))
 
     def test_adds_in_place(self, tables, traced_peak):
-        for T in tables:
-            rows, m = T.shape
-            before = T.copy()
-            got = []
-            peak = traced_peak(lambda: got.append(enumeration._row_sums(T)))
-            if m < 8:
-                # the sums land in T's first column; nothing else is allocated
-                assert np.shares_memory(got[0], T) and peak < 1024
-                assert np.array_equal(bits(T[:, 1:]), bits(before[:, 1:]))
-            else:
-                assert np.array_equal(bits(T), bits(before)) and peak <= 8 * rows + 1024
+        # below 8 columns each column's gather is added in place into the
+        # sums, so one gather is live beside them; from 8 the (rows, m)
+        # gather is reduced into a new row of sums
+        for lgt, K in tables:
+            rows, m = K.shape
+            bound = 16 * rows if m < 8 else (8 * m + 8) * rows
+            assert traced_peak(lambda: _lgamma_sums(lgt, K)) <= bound + 1024
 
 
 class TestExactDistribution:
