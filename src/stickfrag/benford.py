@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .enumeration import WeightedMod1Distribution, _cluster_differences, _count_text, _refuse_above_byte_limit, _write_csv
-from .model import log_base
+from .model import _check_base, log_base
 
 SIGNIFICAND_SNAP = 1e-12
 DEFAULT_KS_THRESHOLD = 0.02
@@ -73,8 +73,6 @@ def significand(x: float, base: int = 10) -> float:
     (Fractions) and rounded once, so S = d for x = d * base**k.  An S within
     1e-12 of base snaps to 1, keeping the half-open invariant.
     """
-    if not isinstance(base, int) or base < 2:
-        raise ValueError(f"base must be an integer >= 2, got {base!r}")
     if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0:
         raise ValueError(f"significand needs a positive finite value, got {x!r}")
     e = math.floor(log_base(x, base))
@@ -139,8 +137,7 @@ def _check_digit_base(base: int) -> None:
     digit tables, _DIGIT_BYTES a digit (in Python ints, so a huge base never
     reaches numpy), would exceed the byte limit.  analyze and simulate call
     it on their config's base before the engine or the sampler runs."""
-    if not isinstance(base, int) or base < 2:
-        raise ValueError(f"base must be an integer >= 2, got {base!r}")
+    _check_base(base)
     _refuse_above_byte_limit(_DIGIT_BYTES * base, f"the digit tables of base {_count_text(base)}")
 
 

@@ -45,6 +45,20 @@ _CHUNK_ROWS = 1 << 17
 _CSV_BLOCK_ROWS = 1 << 13
 
 
+def _check_count(name: str, value, lo: int):
+    """value, judged a count >= lo: TypeError unless an int or numpy integer (no bool), ValueError below lo."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(f"need {name} >= {lo}, got {value}")
+    return value
+
+
+def _check_measure(measure: str) -> None:
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}")
+
+
 class Composition(NamedTuple):
     """A weak composition k of N into m non-negative parts."""
 
@@ -80,8 +94,7 @@ class WeightedMod1Distribution:
         total = float(w.sum())
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"masses sum to {total!r}, not 1 within 1e-10")
-        if self.measure not in MEASURES:
-            raise ValueError(f"unknown measure {self.measure!r}")
+        _check_measure(self.measure)
         r.flags.writeable = False
         w.flags.writeable = False
 
@@ -284,10 +297,8 @@ def compositions(N: int, m: int) -> Iterator[Composition]:
     i.e. (N,0,...,0), (N-1,1,0,...), ... ending at (0,...,0,N).  The
     successor is computed in place, so memory per step is constant.
     """
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    if N < 0:
-        raise ValueError(f"need N >= 0, got {N}")
+    _check_count("m", m, 2)
+    _check_count("N", N, 0)
     k = [N] + [0] * (m - 1)
     while True:
         yield Composition(tuple(k), N)
@@ -314,10 +325,8 @@ def composition_array(N: int, m: int) -> np.ndarray:
     their row in descending order.  The last part is the last remainder.
     _peak_bytes gives what a level holds.
     """
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    if N < 0:
-        raise ValueError(f"need N >= 0, got {N}")
+    _check_count("m", m, 2)
+    _check_count("N", N, 0)
     K = np.empty((N + 1, m), dtype=np.int64)
     K[:, 0] = np.arange(N, -1, -1)
     K[:, 1] = np.arange(N + 1)
@@ -334,8 +343,9 @@ def composition_array(N: int, m: int) -> np.ndarray:
 
 def log_multinomial(N: int, k: Composition | Sequence[int]) -> float:
     """Natural log of the multinomial coefficient N!/(k1!...km!)."""
-    counts = k.k if isinstance(k, Composition) else tuple(int(x) for x in k)
-    if any(c < 0 for c in counts) or sum(counts) != N:
+    _check_count("N", N, 0)
+    counts = tuple(_check_count("part", x, 0) for x in (k.k if isinstance(k, Composition) else k))
+    if sum(counts) != N:
         raise ValueError(f"{counts} is not a composition of {N}")
     total = math.lgamma(N + 1)
     for c in counts:
@@ -355,11 +365,9 @@ def atom_for(
     sum of the parts' lgamma values, which _lgamma_sums reproduces, so it
     returns exactly what exact_distribution aggregates for this composition.
     """
-    counts = k.k if isinstance(k, Composition) else tuple(int(x) for x in k)
+    counts = tuple(_check_count("part", x, 0) for x in (k.k if isinstance(k, Composition) else k))
     if len(counts) != model.m:
         raise ValueError(f"composition has {len(counts)} parts, model has {model.m}")
-    if any(c < 0 for c in counts):
-        raise ValueError(f"{counts} has a negative part")
     K = np.array([counts], dtype=np.int64)
     logmult = math.lgamma(sum(counts) + 1) - np.array([[math.lgamma(c + 1) for c in counts]]).sum(axis=1)
     atom = [_residues(K, model.p, base), *(_log_masses(K, logmult, model, x, np.empty(1)) for x in MEASURES)]
@@ -530,10 +538,8 @@ def exact_distribution(
     table, the atom table and the merge's cluster arrays are never all live
     at once.
     """
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}")
-    if N < 0:
-        raise ValueError(f"need N >= 0, got {N}")
+    _check_measure(measure)
+    _check_count("N", N, 0)
     if threads < 1:
         raise ValueError("threads must be >= 1")
     _refuse_above_byte_limit(

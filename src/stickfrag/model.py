@@ -61,6 +61,12 @@ def exponent_entry(e) -> Exponent:
     return float(e)
 
 
+def _check_base(base: int) -> None:
+    """ValueError unless base is an int >= 2 (a bool is at most 1)."""
+    if not isinstance(base, int) or base < 2:
+        raise ValueError(f"base must be an integer >= 2, got {base!r}")
+
+
 def _ratio(base: int, y: Exponent) -> float:
     """base**y as a float; ValueError when it overflows or underflows to 0."""
     try:
@@ -116,8 +122,7 @@ class ExponentSpec:
     base: int = 10
 
     def __post_init__(self):
-        if not isinstance(self.base, int) or self.base < 2:
-            raise ValueError(f"base must be an integer >= 2, got {self.base!r}")
+        _check_base(self.base)
         if len(self.y) < 1:
             raise ValueError("need at least one exponent")
         y = tuple(exponent_entry(e) for e in self.y)
@@ -187,8 +192,10 @@ def log_base(x, base: int):
     """log_base(x) for a positive float or float array: log10 for base 10, else log(x)/log(base).
 
     Every log-length in the package goes through here, so sampled and enumerated
-    atoms share their bits; numpy's array logs may round unlike math's.
+    atoms share their bits (numpy's array logs may round unlike math's), and
+    every base is judged here by _check_base before a log is taken.
     """
+    _check_base(base)
     if isinstance(x, np.ndarray):
         if base == 10:
             return np.log10(x)
@@ -200,8 +207,6 @@ def log_base(x, base: int):
 
 def exponents_from_proportions(model: ProportionVector, base: int = 10) -> ExponentSpec:
     """y_i = log_base(p_i / p_{i+1}) for consecutive proportions."""
-    if not isinstance(base, int) or base < 2:
-        raise ValueError(f"base must be an integer >= 2, got {base!r}")
     y = [log_base(a / b, base) for a, b in zip(model.p, model.p[1:])]
     return ExponentSpec(tuple(y), base)
 

@@ -15,7 +15,6 @@ not depend on how many workers consumed the chunks.  Generator: numpy PCG64.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,8 +24,9 @@ import numpy as np
 
 from .enumeration import (
     MEASURE_UNIFORM,
-    MEASURES,
     WeightedMod1Distribution,
+    _check_count,
+    _check_measure,
     _count_text,
     _frac,
     _refuse_above_byte_limit,
@@ -73,8 +73,7 @@ class RandomProportions:
     concentration: tuple[float, ...]
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"need m >= 2, got {self.m}")
+        _check_count("m", self.m, 2)
         if len(self.concentration) != self.m:
             raise ValueError("need one concentration parameter per part")
         if not all(0 < c < math.inf for c in self.concentration):  # also refuses nan
@@ -92,16 +91,11 @@ class SamplerConfig:
     measure: str = MEASURE_UNIFORM
 
     def __post_init__(self):
-        for name in ("seed", "samples"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        if self.samples < 1:
-            raise ValueError("need samples >= 1")
-        if not (0 <= self.seed < 2**64):
+        _check_count("seed", self.seed, 0)
+        _check_count("samples", self.samples, 1)
+        if self.seed >= 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if self.measure not in MEASURES:
-            raise ValueError(f"unknown measure {self.measure!r}")
+        _check_measure(self.measure)
         if not isinstance(self.mode, (FixedProportions, RandomProportions)):
             raise TypeError("mode must be FixedProportions or RandomProportions")
 
@@ -155,8 +149,7 @@ def sample_leaf_residues(
     ResourceLimitError refuses a run whose _peak_sample_bytes exceeds the
     exact engine's byte limit.
     """
-    if N < 0:
-        raise ValueError(f"need N >= 0, got {N}")
+    _check_count("N", N, 0)
     if tasks < 1:
         raise ValueError("tasks must be >= 1")
     _refuse_above_byte_limit(

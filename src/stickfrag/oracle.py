@@ -24,8 +24,9 @@ import numpy as np
 from .enumeration import (
     ALIGN_TOL,
     MEASURE_UNIFORM,
-    MEASURES,
     WeightedMod1Distribution,
+    _check_count,
+    _check_measure,
     _cluster_differences,
     _count_text,
     build_distribution,
@@ -115,8 +116,7 @@ def brute_force_leaves(model: ProportionVector, N: int) -> LeafList:
     stage-by-stage outer products on the full tree.  Refuses with
     ResourceLimitError above BRUTE_FORCE_GUARD leaves.
     """
-    if N < 0:
-        raise ValueError(f"need N >= 0, got {N}")
+    _check_count("N", N, 0)
     # m >= 2, so m**N is above the guard from N = BRUTE_FORCE_GUARD.bit_length()
     # on: N is compared first, and a large N raises m to no power
     m = model.m
@@ -168,8 +168,7 @@ def exact_residues_rational(y, N: int, base_offset: float = 0.0) -> ExactResidue
     Fractions u/L, built when read.
     base_offset must be finite (ValueError otherwise).
     """
-    if N < 0:
-        raise ValueError(f"need N >= 0, got {N}")
+    _check_count("N", N, 0)
     if not math.isfinite(base_offset):
         raise ValueError(f"base_offset must be finite, got {base_offset!r}")
     pairs = _rational_pairs(y)
@@ -227,14 +226,12 @@ def exact_residue_distribution(
     unit of work.
     The counts take 8 L W bytes, at most 8 sqrt(limit).
     """
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}")
+    _check_measure(measure)
     pairs = _rational_pairs(y)
     m = len(pairs) + 1
     if m != model.m:
         raise ValueError(f"{len(pairs)} exponents need m={m}, model has m={model.m}")
-    if N < 0:
-        raise ValueError(f"need N >= 0, got {N}")
+    _check_count("N", N, 0)
     lcm, shifts = _class_shifts(pairs)
     # ceil(N log2(m) / 64) in ints, from the exact ratio of the float log2(m):
     # N * log2(m) would convert an N past float range to a float
@@ -265,8 +262,7 @@ def distribution_from_leaves(
     leaves: LeafList, base: int = 10, measure: str = MEASURE_UNIFORM
 ) -> WeightedMod1Distribution:
     """Tally brute-force leaves into a weighted mod-1 distribution."""
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}")
+    _check_measure(measure)
     residues = log_base(leaves.lengths, base)
     _frac(residues)
     # read-only weights, as the merge only gathers from them: one value

@@ -3,6 +3,7 @@ import os
 import stat
 import timeit
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -472,25 +473,51 @@ def atoms(residues, masses, measure=MEASURE_UNIFORM):
 
 
 @pytest.mark.parametrize(
-    "call,fragment",
+    "call,exc,fragment",
     [
-        (lambda: exact_distribution(MODEL3, 3, 10, "lenght"), "unknown measure"),
-        (lambda: exact_distribution(MODEL3, -1), "need N >= 0"),
-        (lambda: exact_distribution(MODEL3, 3, threads=0), "threads must be >= 1"),
-        (lambda: atoms([0.1, 0.2], [1.0]), "equal-length"),
-        (lambda: atoms([0.2, 0.1], [0.5, 0.5]), "strictly ascending"),
-        (lambda: atoms([0.1, 0.2], [1.5, -0.5]), "nonnegative"),
-        (lambda: atoms([0.1, 0.2], [0.5, 0.6]), "not 1 within"),
-        (lambda: atoms([0.1, 0.2], [0.5, 0.5], "lenght"), "unknown measure"),
-        (lambda: distribution_from_residues(np.array([]), MEASURE_UNIFORM, 1, 2), "at least one residue"),
+        (lambda: exact_distribution(MODEL3, 3, 10, "lenght"), ValueError, "unknown measure"),
+        (lambda: exact_distribution(MODEL3, -1), ValueError, "need N >= 0"),
+        (lambda: exact_distribution(MODEL3, 3, threads=0), ValueError, "threads must be >= 1"),
+        (lambda: atoms([0.1, 0.2], [1.0]), ValueError, "equal-length"),
+        (lambda: atoms([0.2, 0.1], [0.5, 0.5]), ValueError, "strictly ascending"),
+        (lambda: atoms([0.1, 0.2], [1.5, -0.5]), ValueError, "nonnegative"),
+        (lambda: atoms([0.1, 0.2], [0.5, 0.6]), ValueError, "not 1 within"),
+        (lambda: atoms([0.1, 0.2], [0.5, 0.5], "lenght"), ValueError, "unknown measure"),
+        (lambda: distribution_from_residues(np.array([]), MEASURE_UNIFORM, 1, 2), ValueError, "at least one residue"),
+        # compositions() never ends on a non-integer N it lets through, so
+        # one row is drawn through islice: a regression fails, not hangs
+        (lambda: list(islice(compositions(2.5, 3), 1)), TypeError, "N must be an integer, got 2.5"),
+        (lambda: list(islice(compositions(True, 3), 1)), TypeError, "N must be an integer, got True"),
+        (lambda: composition_array(2.5, 3), TypeError, "N must be an integer"),
+        (lambda: composition_array(True, 3), TypeError, "N must be an integer"),
+        (lambda: exact_distribution(MODEL3, 2.5), TypeError, "N must be an integer"),
+        (lambda: exact_distribution(MODEL3, True), TypeError, "N must be an integer"),
+        (lambda: log_multinomial(2.5, (1, 1)), TypeError, "N must be an integer"),
+        (lambda: log_multinomial(True, (1, 0)), TypeError, "N must be an integer"),
+        (lambda: log_multinomial(2, (1.5, 0.5)), TypeError, "part must be an integer"),
+        (lambda: atom_for(MODEL3, (1.5, 1.5, 0)), TypeError, "part must be an integer"),
+        (lambda: exact_distribution(MODEL3, 3, 1), ValueError, "base must be an integer >= 2"),
+        (lambda: exact_distribution(MODEL3, 3, 0), ValueError, "base must be an integer >= 2"),
+        (lambda: exact_distribution(MODEL3, 3, 2.5), ValueError, "base must be an integer >= 2"),
+        (lambda: exact_distribution(MODEL3, 3, True), ValueError, "base must be an integer >= 2"),
+        (lambda: atom_for(MODEL3, (1, 1, 0), 1), ValueError, "base must be an integer >= 2"),
+        (lambda: atom_for(MODEL3, (1, 1, 0), 0), ValueError, "base must be an integer >= 2"),
+        (lambda: atom_for(MODEL3, (1, 1, 0), 2.5), ValueError, "base must be an integer >= 2"),
+        (lambda: atom_for(MODEL3, (1, 1, 0), True), ValueError, "base must be an integer >= 2"),
+        # a numpy integer N passes the count rule and reaches the base rule
+        (lambda: exact_distribution(MODEL3, np.int64(3), 2.5), ValueError, "base must be an integer >= 2"),
     ],
     ids=[
         "exact-measure", "exact-negative-n", "exact-threads", "dist-shapes", "dist-unsorted",
         "dist-negative-mass", "dist-sum", "dist-measure", "residues-empty",
+        "compositions-float-n", "compositions-bool-n", "array-float-n", "array-bool-n",
+        "exact-float-n", "exact-bool-n", "multinomial-float-n", "multinomial-bool-n", "multinomial-float-part",
+        "atom-float-part", "exact-base-1", "exact-base-0", "exact-base-float", "exact-base-bool",
+        "atom-base-1", "atom-base-0", "atom-base-float", "atom-base-bool", "exact-int64-n",
     ],
 )
-def test_argument_checks(call, fragment):
-    with pytest.raises(ValueError, match=fragment):
+def test_argument_checks(call, exc, fragment):
+    with pytest.raises(exc, match=fragment):
         call()
 
 

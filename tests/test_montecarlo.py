@@ -316,8 +316,21 @@ class TestByteGuard:
         (lambda: sample_leaf_residues(fixed(make_model([0.5])), -1), ValueError, "need N >= 0"),
         (lambda: sample_leaf_residues(fixed(make_model([0.5])), 3, tasks=0), ValueError, "tasks must be >= 1"),
         (lambda: SamplerConfig(seed=1, samples=10, mode=make_model([0.5])), TypeError, "mode must be"),
+        (lambda: sample_leaf_residues(fixed(make_model([0.5])), 2.5), TypeError, "N must be an integer"),
+        (lambda: sample_leaf_residues(fixed(make_model([0.5])), True), TypeError, "N must be an integer"),
+        (lambda: sample_leaf_residues(fixed(make_model([0.5])), 3, 1), ValueError, "base must be an integer >= 2"),
+        (lambda: sample_leaf_residues(fixed(make_model([0.5])), 3, 0), ValueError, "base must be an integer >= 2"),
+        (lambda: sample_leaf_residues(fixed(make_model([0.5])), 3, 2.5), ValueError, "base must be an integer >= 2"),
+        (lambda: sample_leaf_residues(fixed(make_model([0.5])), 3, True), ValueError, "base must be an integer >= 2"),
+        # a numpy integer N passes the count rule and reaches the base rule
+        (lambda: sample_leaf_residues(fixed(make_model([0.5])), np.int64(3), 2.5), ValueError,
+         "base must be an integer >= 2"),
+        (lambda: RandomProportions(2.0, (1.0, 1.0)), TypeError, "m must be an integer"),
     ],
-    ids=["negative-n", "tasks", "foreign-mode"],
+    ids=[
+        "negative-n", "tasks", "foreign-mode", "float-n", "bool-n", "base-1", "base-0", "base-float", "base-bool",
+        "int64-n", "dirichlet-float-m",
+    ],
 )
 def test_argument_checks(call, exc, fragment):
     with pytest.raises(exc, match=fragment):

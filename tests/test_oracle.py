@@ -509,28 +509,52 @@ HALF = make_model([0.5])
 
 
 @pytest.mark.parametrize(
-    "call,fragment",
+    "call,exc,fragment",
     [
-        (lambda: brute_force_leaves(HALF, -1), "need N >= 0"),
-        (lambda: exact_residues_rational([(1, 2)], -1), "need N >= 0"),
-        (lambda: exact_residues_rational([(1, 2)], 3, base_offset=math.nan), "base_offset must be finite"),
-        (lambda: exact_residues_rational([(1, 2)], 3, base_offset=math.inf), "base_offset must be finite"),
-        (lambda: exact_residues_rational([(1, 2)], 3, base_offset=-math.inf), "base_offset must be finite"),
-        (lambda: exact_residue_distribution([(1, 2)], -1, HALF), "need N >= 0"),
-        (lambda: exact_residue_distribution([(1, 2)], 3, HALF, "lenght"), "unknown measure"),
-        (lambda: exact_residue_distribution([(1, 2)], 3, make_model([0.2, 0.3])), "need m=2, model has m=3"),
-        (lambda: distribution_from_leaves(brute_force_leaves(HALF, 2), 10, "lenght"), "unknown measure"),
-        (lambda: LeafList(np.full(3, 0.25), 2, 2), "expected 4 leaves, got 3"),
-        (lambda: LeafList(np.full(4, 0.3), 2, 2), "not 1 within 1e-9"),
+        (lambda: brute_force_leaves(HALF, -1), ValueError, "need N >= 0"),
+        (lambda: exact_residues_rational([(1, 2)], -1), ValueError, "need N >= 0"),
+        (lambda: exact_residues_rational([(1, 2)], 3, base_offset=math.nan), ValueError, "base_offset must be finite"),
+        (lambda: exact_residues_rational([(1, 2)], 3, base_offset=math.inf), ValueError, "base_offset must be finite"),
+        (lambda: exact_residues_rational([(1, 2)], 3, base_offset=-math.inf), ValueError,
+         "base_offset must be finite"),
+        (lambda: exact_residue_distribution([(1, 2)], -1, HALF), ValueError, "need N >= 0"),
+        (lambda: exact_residue_distribution([(1, 2)], 3, HALF, "lenght"), ValueError, "unknown measure"),
+        (lambda: exact_residue_distribution([(1, 2)], 3, make_model([0.2, 0.3])), ValueError,
+         "need m=2, model has m=3"),
+        (lambda: distribution_from_leaves(brute_force_leaves(HALF, 2), 10, "lenght"), ValueError, "unknown measure"),
+        (lambda: LeafList(np.full(3, 0.25), 2, 2), ValueError, "expected 4 leaves, got 3"),
+        (lambda: LeafList(np.full(4, 0.3), 2, 2), ValueError, "not 1 within 1e-9"),
+        (lambda: brute_force_leaves(HALF, 2.5), TypeError, "N must be an integer"),
+        (lambda: brute_force_leaves(HALF, True), TypeError, "N must be an integer"),
+        (lambda: exact_residues_rational([(1, 2)], 2.5), TypeError, "N must be an integer"),
+        (lambda: exact_residues_rational([(1, 2)], True), TypeError, "N must be an integer"),
+        (lambda: exact_residue_distribution([(1, 2)], 2.5, HALF), TypeError, "N must be an integer"),
+        (lambda: exact_residue_distribution([(1, 2)], True, HALF), TypeError, "N must be an integer"),
+        (lambda: cross_check(HALF, 2.5), TypeError, "N must be an integer"),
+        (lambda: cross_check(HALF, True), TypeError, "N must be an integer"),
+        (lambda: cross_check(HALF, 2, 1), ValueError, "base must be an integer >= 2"),
+        (lambda: cross_check(HALF, 2, 0), ValueError, "base must be an integer >= 2"),
+        (lambda: cross_check(HALF, 2, 2.5), ValueError, "base must be an integer >= 2"),
+        (lambda: cross_check(HALF, 2, True), ValueError, "base must be an integer >= 2"),
+        (lambda: distribution_from_leaves(brute_force_leaves(HALF, 2), 1), ValueError, "base must be an integer >= 2"),
+        (lambda: distribution_from_leaves(brute_force_leaves(HALF, 2), 0), ValueError, "base must be an integer >= 2"),
+        (lambda: distribution_from_leaves(brute_force_leaves(HALF, 2), 2.5), ValueError,
+         "base must be an integer >= 2"),
+        (lambda: distribution_from_leaves(brute_force_leaves(HALF, 2), True), ValueError,
+         "base must be an integer >= 2"),
     ],
     ids=[
         "brute-negative-n", "residues-negative-n", "residues-offset-nan", "residues-offset-inf",
         "residues-offset-minus-inf", "distribution-negative-n",
         "distribution-measure", "distribution-m", "leaves-measure", "leaf-count", "leaf-sum",
+        "brute-float-n", "brute-bool-n", "residues-float-n", "residues-bool-n",
+        "distribution-float-n", "distribution-bool-n", "cross-check-float-n", "cross-check-bool-n",
+        "cross-check-base-1", "cross-check-base-0", "cross-check-base-float", "cross-check-base-bool",
+        "leaves-base-1", "leaves-base-0", "leaves-base-float", "leaves-base-bool",
     ],
 )
-def test_argument_checks(call, fragment):
-    with pytest.raises(ValueError, match=fragment):
+def test_argument_checks(call, exc, fragment):
+    with pytest.raises(exc, match=fragment):
         call()
 
 
