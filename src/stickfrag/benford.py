@@ -75,6 +75,7 @@ def significand(x: float, base: int = 10) -> float:
     """
     if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0:
         raise ValueError(f"significand needs a positive finite value, got {x!r}")
+    base = _check_base(base)  # a numpy base would overflow the Fraction arithmetic
     e = math.floor(log_base(x, base))
     q = Fraction(x) / Fraction(base) ** e
     if q >= base:
@@ -132,19 +133,19 @@ def star_discrepancy(dist: WeightedMod1Distribution) -> float:
     return _ks_and_discrepancy(dist, _cdf(dist))[1]
 
 
-def _check_digit_base(base: int) -> None:
-    """ValueError unless base is an int >= 2; ResourceLimitError when its
+def _check_digit_base(base: int) -> int:
+    """base as a Python int; ValueError unless an integer >= 2, ResourceLimitError when its
     digit tables, _DIGIT_BYTES a digit (in Python ints, so a huge base never
     reaches numpy), would exceed the byte limit.  analyze and simulate call
     it on their config's base before the engine or the sampler runs."""
-    _check_base(base)
+    base = _check_base(base)
     _refuse_above_byte_limit(_DIGIT_BYTES * base, f"the digit tables of base {_count_text(base)}")
+    return base
 
 
 def _digits(base: int) -> np.ndarray:
     """The integers 1..base, from which every table of digits is built, once _check_digit_base passes."""
-    _check_digit_base(base)
-    return np.arange(1, base + 1)
+    return np.arange(1, _check_digit_base(base) + 1)
 
 
 def benford_expected(base: int = 10) -> np.ndarray:

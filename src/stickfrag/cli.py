@@ -130,8 +130,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     model, spec, _ = _load_model(args)
-    base = spec.base
-    _check_digit_base(base)  # refused before the engine runs, with no pointer to simulate
+    base = _check_digit_base(spec.base)  # refused before the engine runs, with no pointer to simulate
     _log(f"analyzing m={model.m} N={args.N} measure={args.measure}")
     try:
         dist = exact_distribution(model, args.N, base, args.measure)

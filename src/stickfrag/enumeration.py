@@ -28,7 +28,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ResourceLimitError
-from .model import ProportionVector, log_base
+from .model import ProportionVector, _check_base, _check_count, log_base
 
 MEASURE_UNIFORM = "uniform"  # each of the m^N leaf sticks counts once
 MEASURE_LENGTH = "length"    # each leaf weighted by its length
@@ -43,15 +43,6 @@ ALIGN_TOL = 1e-9  # atoms of two distributions this close are one location
 _BYTE_LIMIT = 4 << 30
 _CHUNK_ROWS = 1 << 17
 _CSV_BLOCK_ROWS = 1 << 13
-
-
-def _check_count(name: str, value, lo: int):
-    """value, judged a count >= lo: TypeError unless an int or numpy integer (no bool), ValueError below lo."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < lo:
-        raise ValueError(f"need {name} >= {lo}, got {value}")
-    return value
 
 
 def _check_measure(measure: str) -> None:
@@ -110,11 +101,12 @@ def _frac(x):
     """Fractional part of a float array, mapped into [0, 1); values within
     MERGE_TOL of 1 snap to 0, and -0.0 gives +0.0.
 
-    x is overwritten with the result, which is returned: callers pass a
-    buffer they own, so no second one is allocated.
+    x is overwritten with the result, which is returned: callers pass a buffer
+    they own, and its floors and snap mask are taken _CHUNK_ROWS rows at a time.
     """
-    np.subtract(x, np.floor(x), out=x)
-    x[(1.0 - x) <= MERGE_TOL] = 0.0
+    for b in (x[i:i + _CHUNK_ROWS] for i in range(0, len(x), _CHUNK_ROWS)):
+        np.subtract(b, np.floor(b), out=b)
+        b[(1.0 - b) <= MERGE_TOL] = 0.0
     return x
 
 
@@ -230,6 +222,7 @@ def _log_masses(
 
 
 def composition_count(N: int, m: int) -> int:
+    N, m = _check_count("N", N, 0), _check_count("m", m, 1)
     return math.comb(N + m - 1, m - 1)
 
 
@@ -297,8 +290,8 @@ def compositions(N: int, m: int) -> Iterator[Composition]:
     i.e. (N,0,...,0), (N-1,1,0,...), ... ending at (0,...,0,N).  The
     successor is computed in place, so memory per step is constant.
     """
-    _check_count("m", m, 2)
-    _check_count("N", N, 0)
+    m = _check_count("m", m, 2)
+    N = _check_count("N", N, 0)
     k = [N] + [0] * (m - 1)
     while True:
         yield Composition(tuple(k), N)
@@ -325,8 +318,8 @@ def composition_array(N: int, m: int) -> np.ndarray:
     their row in descending order.  The last part is the last remainder.
     _peak_bytes gives what a level holds.
     """
-    _check_count("m", m, 2)
-    _check_count("N", N, 0)
+    m = _check_count("m", m, 2)
+    N = _check_count("N", N, 0)
     K = np.empty((N + 1, m), dtype=np.int64)
     K[:, 0] = np.arange(N, -1, -1)
     K[:, 1] = np.arange(N + 1)
@@ -343,7 +336,7 @@ def composition_array(N: int, m: int) -> np.ndarray:
 
 def log_multinomial(N: int, k: Composition | Sequence[int]) -> float:
     """Natural log of the multinomial coefficient N!/(k1!...km!)."""
-    _check_count("N", N, 0)
+    N = _check_count("N", N, 0)
     counts = tuple(_check_count("part", x, 0) for x in (k.k if isinstance(k, Composition) else k))
     if sum(counts) != N:
         raise ValueError(f"{counts} is not a composition of {N}")
@@ -527,7 +520,7 @@ def exact_distribution(
     (N=774 and 1200), 65 B at m=4 (N=120), 86 B at m=8 (N=22) and 116 B
     at m=10 (N=15).
 
-    threads is validated (>= 1) and otherwise ignored: enumeration is
+    threads is validated (a count >= 1) and otherwise ignored: enumeration is
     single-threaded, because splitting the atom table over threads did not
     pay on the benchmark.  The atom table is still built in fixed-size
     chunks, which bounds its temporaries; its arithmetic is elementwise per
@@ -539,9 +532,9 @@ def exact_distribution(
     at once.
     """
     _check_measure(measure)
-    _check_count("N", N, 0)
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    N = _check_count("N", N, 0)
+    base = _check_base(base)
+    _check_count("threads", threads, 1)
     _refuse_above_byte_limit(
         _peak_bytes(N, model.m),
         f"C({N + model.m - 1},{model.m - 1}) = {_count_text(composition_count(N, model.m))} compositions",

@@ -61,10 +61,22 @@ def exponent_entry(e) -> Exponent:
     return float(e)
 
 
-def _check_base(base: int) -> None:
-    """ValueError unless base is an int >= 2 (a bool is at most 1)."""
-    if not isinstance(base, int) or base < 2:
-        raise ValueError(f"base must be an integer >= 2, got {base!r}")
+def _check_count(name: str, value, lo: int) -> int:
+    """value as a Python int, judged a count >= lo: TypeError unless an int or
+    a numpy integer (never a bool), ValueError below lo."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if (value := int(value)) < lo:
+        raise ValueError(f"need {name} >= {lo}, got {value}")
+    return value
+
+
+def _check_base(base) -> int:
+    """base as a Python int, judged by _check_count >= 2; ValueError for any refusal."""
+    try:
+        return _check_count("base", base, 2)
+    except (TypeError, ValueError):
+        raise ValueError(f"base must be an integer >= 2, got {base!r}") from None
 
 
 def _ratio(base: int, y: Exponent) -> float:
@@ -122,7 +134,7 @@ class ExponentSpec:
     base: int = 10
 
     def __post_init__(self):
-        _check_base(self.base)
+        object.__setattr__(self, "base", _check_base(self.base))
         if len(self.y) < 1:
             raise ValueError("need at least one exponent")
         y = tuple(exponent_entry(e) for e in self.y)
@@ -195,7 +207,7 @@ def log_base(x, base: int):
     atoms share their bits (numpy's array logs may round unlike math's), and
     every base is judged here by _check_base before a log is taken.
     """
-    _check_base(base)
+    base = _check_base(base)
     if isinstance(x, np.ndarray):
         if base == 10:
             return np.log10(x)
@@ -261,8 +273,7 @@ def classify_rationality(
     entry is presumed irrational and the best convergent found is kept as a
     witness.  Deterministic.
     """
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be >= 1")
+    max_denominator = _check_count("max_denominator", max_denominator, 1)
     if not (tolerance > 0.0):
         raise ValueError("tolerance must be > 0")
     verdicts = []

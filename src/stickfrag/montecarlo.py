@@ -25,7 +25,6 @@ import numpy as np
 from .enumeration import (
     MEASURE_UNIFORM,
     WeightedMod1Distribution,
-    _check_count,
     _check_measure,
     _count_text,
     _frac,
@@ -35,7 +34,7 @@ from .enumeration import (
     _write_json,
     distribution_from_residues,
 )
-from .model import ProportionVector, log_base
+from .model import ProportionVector, _check_base, _check_count, log_base
 
 GENERATOR_NAME = "numpy.random.PCG64"
 _CHUNK_SAMPLES = 1 << 16
@@ -73,7 +72,7 @@ class RandomProportions:
     concentration: tuple[float, ...]
 
     def __post_init__(self):
-        _check_count("m", self.m, 2)
+        object.__setattr__(self, "m", _check_count("m", self.m, 2))
         if len(self.concentration) != self.m:
             raise ValueError("need one concentration parameter per part")
         if not all(0 < c < math.inf for c in self.concentration):  # also refuses nan
@@ -91,8 +90,8 @@ class SamplerConfig:
     measure: str = MEASURE_UNIFORM
 
     def __post_init__(self):
-        _check_count("seed", self.seed, 0)
-        _check_count("samples", self.samples, 1)
+        object.__setattr__(self, "seed", _check_count("seed", self.seed, 0))
+        object.__setattr__(self, "samples", _check_count("samples", self.samples, 1))
         if self.seed >= 2**64:
             raise ValueError("seed must fit in 64 bits")
         _check_measure(self.measure)
@@ -149,9 +148,9 @@ def sample_leaf_residues(
     ResourceLimitError refuses a run whose _peak_sample_bytes exceeds the
     exact engine's byte limit.
     """
-    _check_count("N", N, 0)
-    if tasks < 1:
-        raise ValueError("tasks must be >= 1")
+    N = _check_count("N", N, 0)
+    base = _check_base(base)
+    tasks = _check_count("tasks", tasks, 1)
     _refuse_above_byte_limit(
         _peak_sample_bytes(config.samples, config.m, tasks), f"{_count_text(config.samples)} samples"
     )

@@ -25,7 +25,6 @@ from .enumeration import (
     ALIGN_TOL,
     MEASURE_UNIFORM,
     WeightedMod1Distribution,
-    _check_count,
     _check_measure,
     _cluster_differences,
     _count_text,
@@ -35,11 +34,11 @@ from .enumeration import (
     _write_csv,
 )
 from .errors import ResourceLimitError
-from .model import ProportionVector, exponent_entry, log_base
+from .model import ProportionVector, _check_base, _check_count, exponent_entry, log_base
 
 # brute_force_leaves refuses above this many leaves.  cross_check, the
-# oracle's largest caller, peaks at 27 B a leaf (25 for `uniform`) while it
-# tallies the brute-force atoms, and its tests hold it to 30 B, so 10^7
+# oracle's largest caller, peaks at 27 B a leaf (19 for `uniform`) while it
+# tallies the brute-force atoms, and its tests hold it to 30 B (20), so 10^7
 # leaves stay near 0.27 GB, below the exact engine's _BYTE_LIMIT (4 GiB)
 BRUTE_FORCE_GUARD = 10**7
 # exact_residue_distribution's limit on its work estimate (see there): it
@@ -116,7 +115,7 @@ def brute_force_leaves(model: ProportionVector, N: int) -> LeafList:
     stage-by-stage outer products on the full tree.  Refuses with
     ResourceLimitError above BRUTE_FORCE_GUARD leaves.
     """
-    _check_count("N", N, 0)
+    N = _check_count("N", N, 0)
     # m >= 2, so m**N is above the guard from N = BRUTE_FORCE_GUARD.bit_length()
     # on: N is compared first, and a large N raises m to no power
     m = model.m
@@ -168,7 +167,7 @@ def exact_residues_rational(y, N: int, base_offset: float = 0.0) -> ExactResidue
     Fractions u/L, built when read.
     base_offset must be finite (ValueError otherwise).
     """
-    _check_count("N", N, 0)
+    N = _check_count("N", N, 0)
     if not math.isfinite(base_offset):
         raise ValueError(f"base_offset must be finite, got {base_offset!r}")
     pairs = _rational_pairs(y)
@@ -231,7 +230,7 @@ def exact_residue_distribution(
     m = len(pairs) + 1
     if m != model.m:
         raise ValueError(f"{len(pairs)} exponents need m={m}, model has m={model.m}")
-    _check_count("N", N, 0)
+    N = _check_count("N", N, 0)
     lcm, shifts = _class_shifts(pairs)
     # ceil(N log2(m) / 64) in ints, from the exact ratio of the float log2(m):
     # N * log2(m) would convert an N past float range to a float
@@ -263,15 +262,11 @@ def distribution_from_leaves(
 ) -> WeightedMod1Distribution:
     """Tally brute-force leaves into a weighted mod-1 distribution."""
     _check_measure(measure)
-    residues = log_base(leaves.lengths, base)
-    _frac(residues)
+    residues = _frac(log_base(leaves.lengths, base))
     # read-only weights, as the merge only gathers from them: one value
     # broadcast for the uniform measure (merged by a value sort), the leaf
     # lengths for the length one
-    if measure == MEASURE_UNIFORM:
-        masses = np.broadcast_to(1.0 / len(residues), len(residues))
-    else:
-        masses = leaves.lengths
+    masses = np.broadcast_to(1.0 / len(residues), len(residues)) if measure == MEASURE_UNIFORM else leaves.lengths
     return build_distribution(residues, masses, measure, leaves.N, leaves.m)
 
 
@@ -285,6 +280,8 @@ def cross_check(
     the 0/1 wrap count as one.  The report carries the largest per-cluster
     mass difference and passes when it is at most ALIGN_TOL.
     """
+    _check_measure(measure)
+    base = _check_base(base)  # before any leaf is expanded, as brute_force_leaves judges N
     leaves = brute_force_leaves(model, N)
     n_leaves = len(leaves.lengths)
     brute = distribution_from_leaves(leaves, base, measure)
@@ -303,7 +300,7 @@ def cross_check(
         atoms_brute=brute.atoms,
         leaves=n_leaves,
         measure=measure,
-        N=N,
+        N=brute.N,
         m=model.m,
     )
 

@@ -477,7 +477,7 @@ def atoms(residues, masses, measure=MEASURE_UNIFORM):
     [
         (lambda: exact_distribution(MODEL3, 3, 10, "lenght"), ValueError, "unknown measure"),
         (lambda: exact_distribution(MODEL3, -1), ValueError, "need N >= 0"),
-        (lambda: exact_distribution(MODEL3, 3, threads=0), ValueError, "threads must be >= 1"),
+        (lambda: exact_distribution(MODEL3, 3, threads=0), ValueError, "need threads >= 1"),
         (lambda: atoms([0.1, 0.2], [1.0]), ValueError, "equal-length"),
         (lambda: atoms([0.2, 0.1], [0.5, 0.5]), ValueError, "strictly ascending"),
         (lambda: atoms([0.1, 0.2], [1.5, -0.5]), ValueError, "nonnegative"),
@@ -506,6 +506,12 @@ def atoms(residues, masses, measure=MEASURE_UNIFORM):
         (lambda: atom_for(MODEL3, (1, 1, 0), True), ValueError, "base must be an integer >= 2"),
         # a numpy integer N passes the count rule and reaches the base rule
         (lambda: exact_distribution(MODEL3, np.int64(3), 2.5), ValueError, "base must be an integer >= 2"),
+        # a numpy N is judged as the Python int it stands for, so the guard's
+        # arithmetic neither overflows nor wraps
+        (lambda: exact_distribution(MODEL3, np.int64(2**63 - 1)), ResourceLimitError, "compositions need an estimated"),
+        (lambda: exact_distribution(MODEL3, np.int64(2**62)), ResourceLimitError, "compositions need an estimated"),
+        (lambda: exact_distribution(MODEL3, 3, threads=2.5), TypeError, "threads must be an integer"),
+        (lambda: composition_count(2.5, 3), TypeError, "N must be an integer"),
     ],
     ids=[
         "exact-measure", "exact-negative-n", "exact-threads", "dist-shapes", "dist-unsorted",
@@ -514,11 +520,21 @@ def atoms(residues, masses, measure=MEASURE_UNIFORM):
         "exact-float-n", "exact-bool-n", "multinomial-float-n", "multinomial-bool-n", "multinomial-float-part",
         "atom-float-part", "exact-base-1", "exact-base-0", "exact-base-float", "exact-base-bool",
         "atom-base-1", "atom-base-0", "atom-base-float", "atom-base-bool", "exact-int64-n",
+        "exact-int64-n-max", "exact-int64-n-2-62", "exact-float-threads", "count-float-n",
     ],
 )
 def test_argument_checks(call, exc, fragment):
     with pytest.raises(exc, match=fragment):
         call()
+
+
+def test_numpy_count_is_the_int_count():
+    assert composition_count(np.int64(2**63 - 1), np.int64(3)) == composition_count(2**63 - 1, 3)
+
+
+def test_numpy_base_gives_the_int_base_bits():
+    a, b = exact_distribution(MODEL3, 12, np.int64(7)), exact_distribution(MODEL3, 12, 7)
+    assert np.array_equal(a.residues, b.residues) and np.array_equal(a.masses, b.masses)
 
 
 CLUSTER_LENS = [

@@ -312,8 +312,13 @@ def rational_verdict(numerator, denominator):
         (lambda: rational_verdict(2, 4), ValueError, "lowest terms"),
         (lambda: parse_config([{"proportions": [0.5]}]), ConfigError, "must be a JSON object"),
         (lambda: parse_config({"exponents": {"real": 0.5}}), ConfigError, '"exponents" must be a list'),
+        (lambda: classify_rationality(ExponentSpec((0.5,)), max_denominator=2.5), TypeError,
+         "max_denominator must be an integer"),
     ],
-    ids=["verdict-zero-denominator", "verdict-not-lowest", "config-not-object", "config-exponents-not-list"],
+    ids=[
+        "verdict-zero-denominator", "verdict-not-lowest", "config-not-object", "config-exponents-not-list",
+        "float-max-denominator",
+    ],
 )
 def test_argument_checks(call, exc, fragment):
     with pytest.raises(exc, match=fragment):

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -245,6 +246,19 @@ class TestConfigValidation:
         b, _ = sample_leaf_residues(fixed(make_model([0.5]), seed=7, samples=100), 3)
         assert np.array_equal(a, b)
 
+    def test_numpy_base_gives_the_int_base_bits(self):
+        config = fixed(make_model([0.3, 0.3]), samples=1000)
+        assert np.array_equal(sample_leaf_residues(config, 20, np.int64(7))[0], sample_leaf_residues(config, 20, 7)[0])
+
+    def test_numpy_integers_written_as_json_ints(self, tmp_path):
+        # the config keeps the Python ints it judged, which json can write
+        mode = RandomProportions(np.int64(3), (1.0, 1.0, 1.0))
+        cfg = SamplerConfig(seed=np.int64(5), samples=np.int32(10), mode=mode)
+        path = tmp_path / "metadata.json"
+        write_metadata_json(cfg, 5, 10, {}, path)
+        meta = json.loads(path.read_text())
+        assert (meta["seed"], meta["samples"], meta["mode"]["random_proportions"]["m"]) == (5, 10, 3)
+
     def test_bad_measure(self):
         with pytest.raises(ValueError):
             SamplerConfig(
@@ -314,7 +328,7 @@ class TestByteGuard:
     "call,exc,fragment",
     [
         (lambda: sample_leaf_residues(fixed(make_model([0.5])), -1), ValueError, "need N >= 0"),
-        (lambda: sample_leaf_residues(fixed(make_model([0.5])), 3, tasks=0), ValueError, "tasks must be >= 1"),
+        (lambda: sample_leaf_residues(fixed(make_model([0.5])), 3, tasks=0), ValueError, "need tasks >= 1"),
         (lambda: SamplerConfig(seed=1, samples=10, mode=make_model([0.5])), TypeError, "mode must be"),
         (lambda: sample_leaf_residues(fixed(make_model([0.5])), 2.5), TypeError, "N must be an integer"),
         (lambda: sample_leaf_residues(fixed(make_model([0.5])), True), TypeError, "N must be an integer"),
@@ -326,10 +340,12 @@ class TestByteGuard:
         (lambda: sample_leaf_residues(fixed(make_model([0.5])), np.int64(3), 2.5), ValueError,
          "base must be an integer >= 2"),
         (lambda: RandomProportions(2.0, (1.0, 1.0)), TypeError, "m must be an integer"),
+        (lambda: sample_leaf_residues(fixed(make_model([0.5])), 3, tasks=2.5), TypeError, "tasks must be an integer"),
+        (lambda: sample_leaf_residues(fixed(make_model([0.5])), 3, tasks=True), TypeError, "tasks must be an integer"),
     ],
     ids=[
         "negative-n", "tasks", "foreign-mode", "float-n", "bool-n", "base-1", "base-0", "base-float", "base-bool",
-        "int64-n", "dirichlet-float-m",
+        "int64-n", "dirichlet-float-m", "float-tasks", "bool-tasks",
     ],
 )
 def test_argument_checks(call, exc, fragment):

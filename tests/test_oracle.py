@@ -20,7 +20,7 @@ from stickfrag import (
     proportions_from_exponents,
     rotate_distribution,
 )
-from stickfrag import oracle
+from stickfrag import enumeration, oracle
 from stickfrag.enumeration import ALIGN_TOL, _cluster_differences, _cluster_starts, _frac
 from stickfrag.model import ExponentSpec
 from stickfrag.oracle import LeafList, write_exact_residues_csv, write_leaves_csv
@@ -448,12 +448,13 @@ class TestCrossCheck:
     def test_working_set_per_leaf(self, measure, traced_peak):
         # 2**19 leaves: the lengths, their residues and, for the length
         # measure, the merge's stable permutation and cluster mask live at
-        # once, 27 B per leaf (25 for uniform, at _frac's temporaries); the
-        # merge sorts the residues in place and the weights are views.  This
-        # per-leaf figure is what BRUTE_FORCE_GUARD's leaf count means in bytes
+        # once, 27 B per leaf (19 for uniform, as _frac reduces the residues
+        # in blocks); the merge sorts the residues in place and the weights
+        # are views.  This per-leaf figure is what BRUTE_FORCE_GUARD's leaf
+        # count means in bytes
         N = 19
         peak = traced_peak(lambda: cross_check(ProportionVector((0.3, 0.7)), N, measure=measure))
-        assert peak <= 30 * 2**N
+        assert peak <= {MEASURE_UNIFORM: 20, MEASURE_LENGTH: 30}[measure] * 2**N
 
     @pytest.mark.parametrize(
         "model,N",
@@ -506,6 +507,7 @@ class TestCrossCheck:
 
 
 HALF = make_model([0.5])
+FIG3 = proportions_from_exponents(ExponentSpec(tuple(FIGURE_EXPONENTS["fig3"])))
 
 
 @pytest.mark.parametrize(
@@ -542,6 +544,8 @@ HALF = make_model([0.5])
          "base must be an integer >= 2"),
         (lambda: distribution_from_leaves(brute_force_leaves(HALF, 2), True), ValueError,
          "base must be an integer >= 2"),
+        (lambda: exact_residue_distribution(FIGURE_EXPONENTS["fig3"], np.int64(2**63 - 1), FIG3), ResourceLimitError,
+         "residue powering work estimate"),
     ],
     ids=[
         "brute-negative-n", "residues-negative-n", "residues-offset-nan", "residues-offset-inf",
@@ -550,12 +554,23 @@ HALF = make_model([0.5])
         "brute-float-n", "brute-bool-n", "residues-float-n", "residues-bool-n",
         "distribution-float-n", "distribution-bool-n", "cross-check-float-n", "cross-check-bool-n",
         "cross-check-base-1", "cross-check-base-0", "cross-check-base-float", "cross-check-base-bool",
-        "leaves-base-1", "leaves-base-0", "leaves-base-float", "leaves-base-bool",
+        "leaves-base-1", "leaves-base-0", "leaves-base-float", "leaves-base-bool", "distribution-int64-n-max",
     ],
 )
 def test_argument_checks(call, exc, fragment):
     with pytest.raises(exc, match=fragment):
         call()
+
+
+def test_bad_base_refused_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the base should be refused before any table or leaf is built")
+
+    monkeypatch.setattr(enumeration, "composition_array", no_work)
+    monkeypatch.setattr(oracle, "brute_force_leaves", no_work)
+    for call in (lambda: exact_distribution(HALF, 3, 1), lambda: cross_check(HALF, 3, 1)):
+        with pytest.raises(ValueError, match="base must be an integer >= 2"):
+            call()
 
 
 class TestOracleCsv:
