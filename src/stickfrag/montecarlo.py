@@ -6,7 +6,12 @@ models support both measures: choosing the child uniformly reproduces the
 uniform-over-sticks measure (every leaf probability 1/m^N) and choosing the
 child proportionally to its split reproduces the length-weighted measure.
 The general model redraws the proportion vector at every split from a
-symmetric simplex (Dirichlet) distribution.
+Dirichlet distribution.  A flat one (every concentration 1, Lemons' uniform
+cuts) is i.i.d. standard exponentials over their sum, and rng.dirichlet
+draws exactly those doubles (standard_gamma(1) is standard_exponential), so
+the `uniform` measure draws the exponentials itself and scales only the
+coordinate it picks, with the bits rng.dirichlet gives.  `length` reads every
+coordinate, and it and every other concentration keep rng.dirichlet.
 
 Sampling is chunked with per-chunk derived seeds, so the sorted output does
 not depend on how many workers consumed the chunks.  Generator: numpy PCG64.
@@ -14,7 +19,7 @@ not depend on how many workers consumed the chunks.  Generator: numpy PCG64.
 
 from __future__ import annotations
 
-import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +39,7 @@ from .enumeration import (
     _write_json,
     distribution_from_residues,
 )
+from .errors import ResourceLimitError
 from .model import ProportionVector, _check_base, _check_count, log_base
 
 GENERATOR_NAME = "numpy.random.PCG64"
@@ -54,6 +60,13 @@ _CHUNK_SAMPLES = 1 << 16
 # Runs of a few hundred samples or less peak a few kB above the estimate
 # (under 30 kB), far below any limit the guard is meant for.
 _SAMPLE_BYTES = 80
+# Upper bound on N * samples * m, the coordinates a Dirichlet run draws.  A
+# coordinate cost 14-68 ns (2^16 samples, N=50, 2 vCPU): 23 ns for the flat
+# m=3 `uniform` draw, 37-39 ns at alpha=2 and 50-68 ns at alpha=0.3-0.5,
+# numpy's slowest gamma route; so the largest admitted run takes 1.5-4.5
+# minutes.  Fixed models draw one multinomial row a sample,
+# whatever N, and are not bounded by it.
+_DIRICHLET_WORK_LIMIT = 4 * 10**9
 
 
 def _peak_sample_bytes(samples: int, m: int, tasks: int) -> int:
@@ -66,6 +79,16 @@ class FixedProportions:
     model: ProportionVector
 
 
+def _real(c):
+    """c as a Python number: numpy integers and floats converted, Python ints
+    and floats kept as given; TypeError for bools and anything else."""
+    if isinstance(c, bool) or not isinstance(c, (int, float, np.integer, np.floating)):
+        raise TypeError(f"concentration parameters must be real numbers, got {c!r}")
+    if isinstance(c, np.integer):
+        return int(c)
+    return float(c) if isinstance(c, np.floating) else c
+
+
 @dataclass(frozen=True)
 class RandomProportions:
     m: int
@@ -73,9 +96,11 @@ class RandomProportions:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _check_count("m", self.m, 2))
+        object.__setattr__(self, "concentration", tuple(map(_real, self.concentration)))
         if len(self.concentration) != self.m:
             raise ValueError("need one concentration parameter per part")
-        if not all(0 < c < math.inf for c in self.concentration):  # also refuses nan
+        # also refuses nan, and an int past double range, which numpy cannot cast
+        if not all(0 < c <= sys.float_info.max for c in self.concentration):
             raise ValueError("concentration parameters must be finite and positive")
 
 
@@ -111,29 +136,56 @@ def _sample_chunk(config: SamplerConfig, N: int, base: int, chunk_index: int, n:
         probs = np.full(m, 1.0 / m) if config.measure == MEASURE_UNIFORM else np.array(p)
         return _residues(rng.multinomial(N, probs, size=n), p, base)
     alpha = np.array(config.mode.concentration)
+    uniform = config.measure == MEASURE_UNIFORM
+    # for alpha = 1, rng.dirichlet draws row by row the standard exponentials
+    # that standard_exponential((n, m)) draws (standard_gamma(1) is
+    # standard_exponential), so drawing them here keeps the stream's bits and
+    # skips scaling the coordinates the `uniform` pick never reads; `length`
+    # reads every column and, like every other alpha, keeps rng.dirichlet
+    flat = uniform and bool((alpha == 1).all())
     total = np.zeros(n)
     # flat offset of each row in the C-contiguous (n, m) draw, so one
     # 1-d gather picks each row's coordinate
     rows = np.arange(n) * m
-    for _ in range(N):
-        P = rng.dirichlet(alpha, size=n)
-        if config.measure == MEASURE_UNIFORM:
-            idx = rng.integers(0, m, size=n)
-        else:
-            # the first j whose running sum P_0 + ... + P_j reaches u, or
-            # m - 1; the sum is added in cumsum's order, one column at a
-            # time, so no (n, m) table is built
-            u = rng.random(n)
-            acc = P[:, 0].copy()
-            idx = (acc < u).astype(np.intp)
-            for j in range(1, m - 1):
-                acc += P[:, j]
-                idx += acc < u
-            del acc, u
-        idx += rows
-        total += log_base(P.ravel()[idx], base)
-        # only total and rows are held through the next stage's draw
-        del P, idx
+    # a proportion that underflowed to 0.0 sends total to -inf, checked once below
+    with np.errstate(divide="ignore"):
+        for _ in range(N):
+            if flat:
+                P = rng.standard_exponential((n, m))
+                # 1 / row sum, the sum added in dirichlet's order ((0 + e_0) + e_1) + ...
+                inv = P[:, 0].copy()
+                for j in range(1, m):
+                    inv += P[:, j]
+                np.divide(1.0, inv, out=inv)
+            else:
+                P = rng.dirichlet(alpha, size=n)
+            if uniform:
+                idx = rng.integers(0, m, size=n)
+            else:
+                # the first j whose running sum P_0 + ... + P_j reaches u, or
+                # m - 1; the sum is added in cumsum's order, one column at a
+                # time, so no (n, m) table is built
+                u = rng.random(n)
+                acc = P[:, 0].copy()
+                idx = (acc < u).astype(np.intp)
+                for j in range(1, m - 1):
+                    acc += P[:, j]
+                    idx += acc < u
+                del acc, u
+            idx += rows
+            pick = P.ravel()[idx]
+            del P, idx
+            if flat:
+                pick *= inv  # the multiply rng.dirichlet makes, on the one coordinate read
+                del inv
+            total += log_base(pick, base)
+            # only total and rows are held through the next stage's draw
+            del pick
+    if np.isneginf(total).any():
+        raise ValueError(
+            f"a drawn proportion underflowed to 0.0 under concentration {config.mode.concentration}, "
+            "so its log is not finite"
+        )
     return _frac(total)
 
 
@@ -146,7 +198,9 @@ def sample_leaf_residues(
     generated from seed sequence (seed, j) regardless of tasks, which only
     controls how many chunks run concurrently.  Before sampling,
     ResourceLimitError refuses a run whose _peak_sample_bytes exceeds the
-    exact engine's byte limit.
+    exact engine's byte limit, and a Dirichlet run that would draw more than
+    _DIRICHLET_WORK_LIMIT coordinates.  ValueError is raised when a drawn
+    proportion underflows to 0.0, whose log is not finite.
     """
     N = _check_count("N", N, 0)
     base = _check_base(base)
@@ -154,6 +208,10 @@ def sample_leaf_residues(
     _refuse_above_byte_limit(
         _peak_sample_bytes(config.samples, config.m, tasks), f"{_count_text(config.samples)} samples"
     )
+    if isinstance(config.mode, RandomProportions) and (work := N * config.samples * config.m) > _DIRICHLET_WORK_LIMIT:
+        raise ResourceLimitError(
+            f"N * samples * m = {_count_text(work)} Dirichlet coordinates exceeds the limit of {_DIRICHLET_WORK_LIMIT}"
+        )
     jobs = [(j, min(_CHUNK_SAMPLES, config.samples - start))
             for j, start in enumerate(range(0, config.samples, _CHUNK_SAMPLES))]
     if tasks == 1 or len(jobs) == 1:

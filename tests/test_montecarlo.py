@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,7 +31,7 @@ from stickfrag import (
 )
 from stickfrag import enumeration, montecarlo
 from stickfrag.benford import write_digits_csv
-from stickfrag.enumeration import _CSV_BLOCK_ROWS, _frac
+from stickfrag.enumeration import _CSV_BLOCK_ROWS, _count_text, _frac
 from stickfrag.montecarlo import _peak_sample_bytes, _sample_chunk, write_metadata_json, write_samples_csv
 from stickfrag.oracle import brute_force_leaves, write_exact_residues_csv, write_leaves_csv
 
@@ -183,7 +185,9 @@ class TestRandomProportions:
     @pytest.mark.parametrize("base", [10, 7])
     @pytest.mark.parametrize("measure", [MEASURE_UNIFORM, MEASURE_LENGTH])
     @pytest.mark.parametrize(
-        "alpha", [(1.0, 1.0, 1.0), (2.0, 3.0), (0.5, 1.0, 2.0, 3.0, 0.7)], ids=["m3", "m2", "m5"]
+        "alpha",
+        [(1.0, 1.0, 1.0), (2.0, 3.0), (0.5, 1.0, 2.0, 3.0, 0.7), (1.0, 1.0), (1.0,) * 8],
+        ids=["m3", "m2", "m5", "flat-m2", "flat-m8"],
     )
     def test_stream_matches_reference(self, alpha, measure, base, N):
         cfg = SamplerConfig(seed=11, samples=1, mode=RandomProportions(len(alpha), alpha), measure=measure)
@@ -219,6 +223,52 @@ class TestRandomProportions:
         # inf used to pass and fail only after a full sampling run
         with pytest.raises(ValueError, match="finite and positive"):
             RandomProportions(2, (1.0, c))
+
+    @pytest.mark.parametrize("measure", [MEASURE_UNIFORM, MEASURE_LENGTH])
+    @pytest.mark.parametrize("alpha", [(1.0, 1.0, 1.0), (0.5, 1.0, 2.0)], ids=["flat", "mixed"])
+    def test_task_count_does_not_change_stream(self, alpha, measure):
+        # three chunks, the last one short
+        cfg = SamplerConfig(seed=5, samples=2**17 + 1000, mode=RandomProportions(3, alpha), measure=measure)
+        a, _ = sample_leaf_residues(cfg, 3, tasks=1)
+        b, _ = sample_leaf_residues(cfg, 3, tasks=2)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_zero_proportion_refused(self):
+        # below 0.1 numpy draws by a beta route that returns exact 0.0
+        # coordinates; their log used to warn and end in a ValueError from
+        # the distribution's constructor
+        cfg = SamplerConfig(seed=7, samples=5000, mode=RandomProportions(2, (0.05, 0.05)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"underflowed to 0\.0 under concentration \(0\.05, 0\.05\)"):
+                sample_leaf_residues(cfg, 1)
+            # the `length` pick skips a zero coordinate
+            res, _ = sample_leaf_residues(SamplerConfig(seed=7, samples=5000, mode=cfg.mode, measure=MEASURE_LENGTH), 1)
+        assert np.isfinite(res).all()
+
+    def test_int_beyond_double_range_refused(self):
+        # it passed and failed at the first draw, in numpy's cast of an object array
+        with pytest.raises(ValueError, match="finite and positive"):
+            RandomProportions(2, (10**400, 1))
+
+    @pytest.mark.parametrize("c", [True, np.bool_(True), "1.0", 1j, None])
+    def test_non_real_concentration_refused(self, c):
+        with pytest.raises(TypeError, match="concentration parameters must be real numbers"):
+            RandomProportions(2, (1.0, c))
+
+    def test_concentration_stored_as_python_numbers(self, tmp_path):
+        values = [1.0, 2.0]
+        mode = RandomProportions(2, values)
+        values[1] = -1.0  # the config keeps its own tuple
+        assert mode.concentration == (1.0, 2.0) and hash(mode) == hash(RandomProportions(2, (1.0, 2.0)))
+        numpy_mode = RandomProportions(3, (np.int64(1), np.float32(0.5), np.float64(2.0)))
+        assert numpy_mode.concentration == (1, 0.5, 2.0)
+        assert [type(c) for c in numpy_mode.concentration] == [int, float, float]
+        # Python ints stay ints, so the metadata writes them as before
+        for mode, written in ((numpy_mode, [1, 0.5, 2.0]), (RandomProportions(2, (1, 2)), [1, 2])):
+            path = tmp_path / "metadata.json"
+            write_metadata_json(SamplerConfig(seed=1, samples=10, mode=mode), 5, 10, {}, path)
+            assert json.loads(path.read_text())["mode"]["random_proportions"]["concentration"] == written
 
 
 class TestConfigValidation:
@@ -310,6 +360,33 @@ class TestByteGuard:
         config = SamplerConfig(seed=1, samples=n, mode=RandomProportions(8, (1.0,) * 8), measure=MEASURE_LENGTH)
         peak = traced_peak(lambda: sample_leaf_residues(config, 5, tasks=2))
         assert peak <= _peak_sample_bytes(n, 8, tasks=2)
+
+    @pytest.mark.parametrize("N", [10**9, 2**62])
+    def test_dirichlet_work_refused_before_sampling(self, N, monkeypatch):
+        # N=10^9 at 2^15 samples would sample for days
+        def no_sampling(*args):
+            raise AssertionError("the guard should refuse before any chunk is sampled")
+
+        monkeypatch.setattr(montecarlo, "_sample_chunk", no_sampling)
+        config = SamplerConfig(seed=1, samples=2**15, mode=RandomProportions(3, (1.0, 1.0, 1.0)))
+        with pytest.raises(ResourceLimitError, match=re.escape(f"N * samples * m = {_count_text(N * 2**15 * 3)} Dirichlet")):
+            sample_leaf_residues(config, N)
+
+    def test_dirichlet_work_limit_is_inclusive(self, monkeypatch):
+        assert 100 * 2**15 * 3 <= montecarlo._DIRICHLET_WORK_LIMIT  # the benchmark's point is admitted
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_sample_chunk", lambda config, N, base, j, n: drawn.append(n) or np.zeros(n))
+        monkeypatch.setattr(montecarlo, "_DIRICHLET_WORK_LIMIT", 100 * 2**15 * 3)
+        config = SamplerConfig(seed=1, samples=2**15, mode=RandomProportions(3, (1.0, 1.0, 1.0)))
+        sample_leaf_residues(config, 100)
+        assert drawn == [2**15]
+        with pytest.raises(ResourceLimitError, match="exceeds the limit of 9830400$"):
+            sample_leaf_residues(config, 101)
+
+    def test_fixed_model_work_not_bounded(self, monkeypatch):
+        # a fixed model draws one multinomial row a sample, whatever N
+        monkeypatch.setattr(montecarlo, "_sample_chunk", lambda config, N, base, j, n: np.zeros(n))
+        assert len(sample_leaf_residues(fixed(make_model([0.3, 0.3]), samples=2**15), 2**62)[0]) == 2**15
 
     @pytest.mark.parametrize("m", [3, 8])
     def test_dirichlet_chunk_holds_one_draw(self, m, traced_peak):
