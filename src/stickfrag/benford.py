@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .enumeration import WeightedMod1Distribution, _cluster_differences, _count_text, _refuse_above_byte_limit, _write_csv
-from .model import _check_base, log_base
+from .model import _check_base, _check_real, log_base
 
 SIGNIFICAND_SNAP = 1e-12
 DEFAULT_KS_THRESHOLD = 0.02
@@ -71,10 +71,9 @@ def significand(x: float, base: int = 10) -> float:
     The log only picks e = floor(log_base x), corrected by one where it
     rounded across a power of base; S = x / base**e is then divided exactly
     (Fractions) and rounded once, so S = d for x = d * base**k.  An S within
-    1e-12 of base snaps to 1, keeping the half-open invariant.
+    1e-12 of base snaps to 1, keeping the half-open invariant.  x > 0 (_check_real).
     """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0:
-        raise ValueError(f"significand needs a positive finite value, got {x!r}")
+    x = _check_real("x", x, 0.0)
     base = _check_base(base)  # a numpy base would overflow the Fraction arithmetic
     e = math.floor(log_base(x, base))
     q = Fraction(x) / Fraction(base) ** e
@@ -118,8 +117,7 @@ def _ks_and_discrepancy(dist: WeightedMod1Distribution, cdf: np.ndarray) -> tupl
 
 def cdf_mod1(dist: WeightedMod1Distribution, s: float) -> float:
     """Total mass of atoms with residue <= s (right-continuous step function)."""
-    if not (0.0 <= s <= 1.0):
-        raise ValueError(f"s must lie in [0, 1], got {s!r}")
+    s = _check_real("s", s, 0.0, 1.0, "[]")
     return float(_cdf(dist)[np.searchsorted(dist.residues, s, side="right")])
 
 
@@ -178,8 +176,8 @@ def chi2_vs_benford(freqs, base: int = 10) -> float:
 
 
 def empirical_verdict(ks: float, ks_threshold: float = DEFAULT_KS_THRESHOLD) -> str:
-    """Binarize the KS metric; the boundary counts as consistent."""
-    return CONSISTENT if ks <= ks_threshold else INCONSISTENT
+    """Binarize the KS metric; the boundary counts as consistent.  ks_threshold > 0 (_check_real)."""
+    return CONSISTENT if ks <= _check_real("ks_threshold", ks_threshold, 0.0) else INCONSISTENT
 
 
 def benford_report(
@@ -187,7 +185,8 @@ def benford_report(
     base: int = 10,
     ks_threshold: float = DEFAULT_KS_THRESHOLD,
 ) -> BenfordReport:
-    """Bundle every metric for one distribution, from one compensated CDF."""
+    """Bundle every metric for one distribution, from one compensated CDF; ks_threshold > 0 (_check_real)."""
+    ks_threshold = _check_real("ks_threshold", ks_threshold, 0.0)
     cdf = _cdf(dist)
     ks, disc = _ks_and_discrepancy(dist, cdf)
     freqs = _digit_masses(dist, cdf, base)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
+import re
 import sys
 from datetime import datetime, timezone
 from functools import cache, partial
@@ -31,6 +31,7 @@ from .errors import ConfigError, ResourceLimitError
 from .model import (
     DEFAULT_MAX_DENOMINATOR,
     DEFAULT_TOLERANCE,
+    _check_real,
     classify_rationality,
     log_base,
     parse_config,
@@ -54,8 +55,21 @@ EXIT_VERIFY = 4
 SCALE_CHECK_TOL = 1e-9
 
 
+def _bounded(msg: str) -> str:
+    """msg with each run of over 200 non-blank characters cut to its first 100, then the whole to 500 bytes as
+    stderr writes them (argv's lone surrogates as \\udcxx), each cut marked: no refusal echoes a value in full."""
+    msg = re.sub(r"\S{201,}", lambda run: f"{run[0][:100]}...({len(run[0])} characters)", msg)
+    data = msg.encode(errors="backslashreplace")
+    return msg if len(data) <= 500 else f"{data[:500].decode(errors='ignore')}...({len(msg)} characters)"
+
+
 def _log(msg: str) -> None:
-    print(msg, file=sys.stderr)
+    print(_bounded(msg), file=sys.stderr)
+
+
+class _Parser(argparse.ArgumentParser):  # its subparsers take its class, so every refusal is _bounded
+    def error(self, message: str):
+        super().error(_bounded(message))
 
 
 def _emit(obj: dict) -> None:
@@ -203,24 +217,27 @@ def _int_in(lo: int, hi: int | None = None):
 
 
 def _positive_finite_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
+    try:
+        return _check_real("the value", float(text), 0.0)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _out_dir(text: str) -> str:
     """argparse type: a path whose nearest existing ancestor is a directory (a dangling link is not)."""
     path = Path(text).absolute()
-    while not (path.exists() or path.is_symlink()):
-        path = path.parent
-    if not path.is_dir():
-        raise argparse.ArgumentTypeError(f"{path} is not a directory")
-    return text
+    try:
+        while not (path.exists() or path.is_symlink()):
+            path = path.parent
+        if path.is_dir():
+            return text
+    except OSError as exc:  # a name or a path too long for the system (ENAMETOOLONG)
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    raise argparse.ArgumentTypeError(f"{path} is not a directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stickfrag",
         description="Benford analysis of fixed multi-proportion stick fragmentation",
     )

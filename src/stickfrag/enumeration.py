@@ -28,7 +28,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ResourceLimitError
-from .model import ProportionVector, _check_base, _check_count, log_base
+from .model import ProportionVector, _check_base, _check_count, _check_real, log_base
 
 MEASURE_UNIFORM = "uniform"  # each of the m^N leaf sticks counts once
 MEASURE_LENGTH = "length"    # each leaf weighted by its length
@@ -335,15 +335,12 @@ def composition_array(N: int, m: int) -> np.ndarray:
 
 
 def log_multinomial(N: int, k: Composition | Sequence[int]) -> float:
-    """Natural log of the multinomial coefficient N!/(k1!...km!)."""
+    """ln N!/(k1!...km!) as lgamma(N + 1) minus numpy's sum of the lgamma(k + 1), the engine's bits."""
     N = _check_count("N", N, 0)
     counts = tuple(_check_count("part", x, 0) for x in (k.k if isinstance(k, Composition) else k))
     if sum(counts) != N:
         raise ValueError(f"{counts} is not a composition of {N}")
-    total = math.lgamma(N + 1)
-    for c in counts:
-        total -= math.lgamma(c + 1)
-    return total
+    return float(math.lgamma(N + 1) - np.array([math.lgamma(c + 1) for c in counts]).sum())
 
 
 def atom_for(
@@ -354,15 +351,15 @@ def atom_for(
     residue is the fractional part of sum k_j * log_base(p_j), accumulated
     with compensated summation.  Uniform mass divides the multinomial count
     by m^N; length mass multiplies it by the leaf length.  Computed by the
-    engine's _residues and _log_masses on a one-row block, from numpy's row
-    sum of the parts' lgamma values, which _lgamma_sums reproduces, so it
-    returns exactly what exact_distribution aggregates for this composition.
+    engine's _residues and _log_masses on a one-row block, from
+    log_multinomial, so it returns exactly what exact_distribution
+    aggregates for this composition.
     """
     counts = tuple(_check_count("part", x, 0) for x in (k.k if isinstance(k, Composition) else k))
     if len(counts) != model.m:
         raise ValueError(f"composition has {len(counts)} parts, model has {model.m}")
     K = np.array([counts], dtype=np.int64)
-    logmult = math.lgamma(sum(counts) + 1) - np.array([[math.lgamma(c + 1) for c in counts]]).sum(axis=1)
+    logmult = np.array([log_multinomial(sum(counts), counts)])
     atom = [_residues(K, model.p, base), *(_log_masses(K, logmult, model, x, np.empty(1)) for x in MEASURES)]
     return tuple(np.concatenate(atom).tolist())
 
@@ -514,11 +511,8 @@ def exact_distribution(
     residue tolerance.
 
     Before any array is built, ResourceLimitError refuses a run whose peak
-    estimate _peak_bytes(N, m) exceeds _BYTE_LIMIT (4 GiB).  The estimate is
-    at least the traced peak of either measure, whether or not atoms merge;
-    with every atom distinct that peak is 56-57.5 B per composition at m=3
-    (N=774 and 1200), 65 B at m=4 (N=120), 86 B at m=8 (N=22) and 116 B
-    at m=10 (N=15).
+    estimate _peak_bytes(N, m) exceeds _BYTE_LIMIT (4 GiB); README lists the
+    traced peaks it bounds.
 
     threads is validated (a count >= 1) and otherwise ignored: enumeration is
     single-threaded, because splitting the atom table over threads did not
@@ -563,9 +557,9 @@ def exact_distribution(
 
 
 def rotate_distribution(dist: WeightedMod1Distribution, shift: float) -> WeightedMod1Distribution:
-    """Rotate every residue by shift mod 1 (a global rescaling of lengths)."""
+    """Rotate every residue by shift mod 1 (a global rescaling of lengths); shift must be finite (_check_real)."""
     # fmod is exact; adding the raw shift would round each residue to the shift's ulp
-    rotated = _frac(dist.residues + math.fmod(shift, 1.0))
+    rotated = _frac(dist.residues + math.fmod(_check_real("shift", shift), 1.0))
     return build_distribution(rotated, dist.masses, dist.measure, dist.N, dist.m)
 
 

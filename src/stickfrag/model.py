@@ -41,24 +41,16 @@ _CONFIG_BYTES = 32 << 20
 Exponent = Union[Fraction, float]
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)  # JSON true is no number
-
-
 def exponent_entry(e) -> Exponent:
     """One exponent: a Fraction as is, an (a, b) pair of ints with b != 0 as
-    Fraction(a, b), or a finite int or float as a float; TypeError otherwise."""
+    Fraction(a, b), or a number as _check_real judges it finite, as a float."""
     if isinstance(e, Fraction):
         return e
-    if isinstance(e, tuple) and len(e) == 2 and all(_is_number(v) and isinstance(v, int) for v in e):
+    if isinstance(e, tuple) and len(e) == 2 and all(type(v) is int for v in e):  # never a bool
         if e[1] == 0:
             raise ValueError(f"rational pair {e!r} has a zero denominator")
         return Fraction(*e)
-    if not _is_number(e):
-        raise TypeError(f"exponent must be a Fraction, an (a, b) pair of ints or a number, got {e!r}")
-    if not math.isfinite(e):
-        raise ValueError(f"exponent {e!r} is not finite")
-    return float(e)
+    return float(_check_real("exponent", e))
 
 
 def _check_count(name: str, value, lo: int) -> int:
@@ -68,6 +60,25 @@ def _check_count(name: str, value, lo: int) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if (value := int(value)) < lo:
         raise ValueError(f"need {name} >= {lo}, got {value}")
+    return value
+
+
+def _check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf, ends: str = "()") -> int | float:
+    """value as a Python int (an int or numpy integer) or float (a float, numpy float or Fraction), judged
+    finite and between lo and hi, each end open or closed as ends reads ("()", "[]", "(]" or "[)"):
+    TypeError unless such a number (never a bool), ValueError otherwise; past double range is +-inf."""
+    if type(value) is not float:  # a Python float, the common case, is judged as is
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating, Fraction)):
+            raise TypeError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = int(value) if isinstance(value, (int, np.integer)) else float(value)
+            float(value)  # an int past double range overflows here, a Fraction one line up
+        except OverflowError:
+            value = math.inf if value > 0 else -math.inf
+    if not (math.isfinite(value) and (lo < value or lo == value and ends[0] == "[")
+            and (value < hi or value == hi and ends[1] == "]")):
+        bounds = "" if (lo, hi) == (-math.inf, math.inf) else f" and in {ends[0]}{lo:g}, {hi:g}{ends[1]}"
+        raise ValueError(f"{name} must be finite{bounds}, got {value!r}")
     return value
 
 
@@ -101,12 +112,9 @@ class ProportionVector:
     p: tuple[float, ...]
 
     def __post_init__(self):
-        p = tuple(float(x) for x in self.p)
+        p = tuple(_check_real("proportion", x, 0.0, 1.0) for x in self.p)  # floats: no int lies in (0, 1)
         if len(p) < 2:
             raise ValueError(f"need at least 2 proportions, got {len(p)}")
-        for x in p:
-            if not (0.0 < x < 1.0):  # also refuses nan and inf
-                raise ValueError(f"proportion {x} outside (0, 1)")
         total = math.fsum(p)
         if abs(total - 1.0) > NORMALIZATION_SLACK:
             raise ValueError(f"proportions sum to {total!r}, not 1 within {NORMALIZATION_SLACK}")
@@ -189,9 +197,10 @@ def make_model(p: list[float] | tuple[float, ...]) -> ProportionVector:
     """Build the full m-vector from the m-1 free proportions.
 
     The last proportion is forced: pm = 1 - sum(p).  This refuses an empty
-    list and a sum >= 1; ProportionVector refuses any entry outside (0, 1).
+    list, a non-finite entry (_check_real) and a sum >= 1; ProportionVector
+    refuses any entry outside (0, 1).
     """
-    p = tuple(float(x) for x in p)
+    p = tuple(_check_real("free proportion", x) for x in p)
     if len(p) < 1:
         raise ValueError("need at least one free proportion")
     total = math.fsum(p)
@@ -274,8 +283,7 @@ def classify_rationality(
     witness.  Deterministic.
     """
     max_denominator = _check_count("max_denominator", max_denominator, 1)
-    if not (tolerance > 0.0):
-        raise ValueError("tolerance must be > 0")
+    tolerance = _check_real("tolerance", tolerance, 0.0)
     verdicts = []
     for entry in spec.y:
         if isinstance(entry, Fraction):
@@ -319,14 +327,11 @@ def parse_config(data: dict) -> tuple[ProportionVector, ExponentSpec]:
     Exactly one of "proportions" (the m-1 free proportions handed to
     make_model) or "exponents" (a list of {"rational": [a, b]} or
     {"real": x} entries, with optional "base") must be present.  [a, b] and x are
-    exponent_entry's pair and number forms; booleans, strings and huge ints fail.
+    exponent_entry's pair and number forms.
 
     Only the JSON shape is checked here.  The values are judged where they are
-    used, and a refusal there surfaces as ConfigError: make_model refuses an
-    empty list or a sum >= 1, ProportionVector a proportion outside (0, 1),
-    exponents_from_proportions and ExponentSpec the base, ExponentSpec an entry,
-    an empty list or base**y out of double range, and proportions_from_exponents
-    that range on the suffix sums base**(y_i + ... + y_{m-1}).
+    used (make_model, ProportionVector, ExponentSpec, exponents_from_proportions
+    and proportions_from_exponents), and a refusal there surfaces as ConfigError.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -337,8 +342,8 @@ def parse_config(data: dict) -> tuple[ProportionVector, ExponentSpec]:
     base = data.get("base", 10)
     if has_p:
         raw = data["proportions"]
-        if not isinstance(raw, list) or not all(_is_number(x) for x in raw):
-            raise ConfigError('"proportions" must be a list of numbers')
+        if not isinstance(raw, list):
+            raise ConfigError('"proportions" must be a list')
         try:
             model = make_model(raw)
             return model, exponents_from_proportions(model, base)
@@ -365,8 +370,8 @@ def parse_config(data: dict) -> tuple[ProportionVector, ExponentSpec]:
 
 def read_config(path: str | Path) -> tuple[object, bytes]:
     """The decoded JSON of a configuration file, unparsed, and the bytes it was
-    decoded from; ConfigError if unreadable, larger than _CONFIG_BYTES or not
-    UTF-8 JSON.
+    decoded from; ConfigError if unreadable, larger than _CONFIG_BYTES, not UTF-8
+    JSON or holding NaN, +-Infinity or 1e400, which a config echo would write out as no JSON.
 
     Line ends are translated as a text-mode read (universal newlines) does,
     so a JSON error names the character position such a read would give.
@@ -379,9 +384,12 @@ def read_config(path: str | Path) -> tuple[object, bytes]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if len(data) > _CONFIG_BYTES:
         raise ConfigError(f"config {path} is larger than {_CONFIG_BYTES} bytes")
+
+    def number(text: str) -> float:  # a JSON float, or the constant NaN or +-Infinity
+        return _check_real("a number", float(text))
     try:
         text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        return json.loads(text), data
+        return json.loads(text, parse_float=number, parse_constant=number), data
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an int of over 4300 digits, a deep nesting

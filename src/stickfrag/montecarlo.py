@@ -19,7 +19,6 @@ not depend on how many workers consumed the chunks.  Generator: numpy PCG64.
 
 from __future__ import annotations
 
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +39,7 @@ from .enumeration import (
     distribution_from_residues,
 )
 from .errors import ResourceLimitError
-from .model import ProportionVector, _check_base, _check_count, log_base
+from .model import ProportionVector, _check_base, _check_count, _check_real, log_base
 
 GENERATOR_NAME = "numpy.random.PCG64"
 _CHUNK_SAMPLES = 1 << 16
@@ -79,16 +78,6 @@ class FixedProportions:
     model: ProportionVector
 
 
-def _real(c):
-    """c as a Python number: numpy integers and floats converted, Python ints
-    and floats kept as given; TypeError for bools and anything else."""
-    if isinstance(c, bool) or not isinstance(c, (int, float, np.integer, np.floating)):
-        raise TypeError(f"concentration parameters must be real numbers, got {c!r}")
-    if isinstance(c, np.integer):
-        return int(c)
-    return float(c) if isinstance(c, np.floating) else c
-
-
 @dataclass(frozen=True)
 class RandomProportions:
     m: int
@@ -96,12 +85,10 @@ class RandomProportions:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _check_count("m", self.m, 2))
-        object.__setattr__(self, "concentration", tuple(map(_real, self.concentration)))
-        if len(self.concentration) != self.m:
+        concentration = tuple(_check_real("concentration parameter", c, 0.0) for c in self.concentration)
+        object.__setattr__(self, "concentration", concentration)
+        if len(concentration) != self.m:
             raise ValueError("need one concentration parameter per part")
-        # also refuses nan, and an int past double range, which numpy cannot cast
-        if not all(0 < c <= sys.float_info.max for c in self.concentration):
-            raise ValueError("concentration parameters must be finite and positive")
 
 
 Mode = Union[FixedProportions, RandomProportions]
@@ -137,11 +124,8 @@ def _sample_chunk(config: SamplerConfig, N: int, base: int, chunk_index: int, n:
         return _residues(rng.multinomial(N, probs, size=n), p, base)
     alpha = np.array(config.mode.concentration)
     uniform = config.measure == MEASURE_UNIFORM
-    # for alpha = 1, rng.dirichlet draws row by row the standard exponentials
-    # that standard_exponential((n, m)) draws (standard_gamma(1) is
-    # standard_exponential), so drawing them here keeps the stream's bits and
-    # skips scaling the coordinates the `uniform` pick never reads; `length`
-    # reads every column and, like every other alpha, keeps rng.dirichlet
+    # the module docstring's flat draw: for alpha = 1 rng.dirichlet draws, row by row,
+    # the exponentials standard_exponential((n, m)) draws, so the stream keeps its bits
     flat = uniform and bool((alpha == 1).all())
     total = np.zeros(n)
     # flat offset of each row in the C-contiguous (n, m) draw, so one

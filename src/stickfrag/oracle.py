@@ -34,7 +34,7 @@ from .enumeration import (
     _write_csv,
 )
 from .errors import ResourceLimitError
-from .model import ProportionVector, _check_base, _check_count, exponent_entry, log_base
+from .model import ProportionVector, _check_base, _check_count, _check_real, exponent_entry, log_base
 
 # brute_force_leaves refuses above this many leaves.  cross_check, the
 # oracle's largest caller, peaks at 27 B a leaf (19 for `uniform`) while it
@@ -164,12 +164,10 @@ def exact_residues_rational(y, N: int, base_offset: float = 0.0) -> ExactResidue
     adds no class.  count <= L <= prod b_i, and count = L once N >= L - 1
     (the shifts generate Z_L).  Exact integer arithmetic; no float merging.
     The result keeps the reached classes u as ints; its residues are the
-    Fractions u/L, built when read.
-    base_offset must be finite (ValueError otherwise).
+    Fractions u/L, built when read.  base_offset must be finite (_check_real).
     """
     N = _check_count("N", N, 0)
-    if not math.isfinite(base_offset):
-        raise ValueError(f"base_offset must be finite, got {base_offset!r}")
+    base_offset = _check_real("base_offset", base_offset)
     pairs = _rational_pairs(y)
     lcm, shifts = _class_shifts(pairs)
     seen, frontier = {0}, {0}

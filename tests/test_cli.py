@@ -123,6 +123,26 @@ def test_non_utf8_config_exits_2(tmp_path, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text,shown", [
+    ('{"proportions": [0.3], "note": NaN}', "nan"),
+    ('{"proportions": [0.3], "note": Infinity}', "inf"),
+    ('{"proportions": [0.3], "note": -Infinity}', "-inf"),
+    ('{"proportions": [0.3], "note": 1e400}', "inf"),
+    ('{"proportions": [NaN]}', "nan"),
+    ('{"exponents": [{"real": -1e400}]}', "-inf"),
+], ids=["nan", "infinity", "minus-infinity", "overflow", "nan-proportion", "overflow-exponent"])
+def test_non_finite_config_number_exits_2(tmp_path, text, shown):
+    # such a config was accepted, and simulate echoed "note" into
+    # metadata.json as NaN or Infinity, which is not JSON
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    proc = run_cli("simulate", "--N", "5", "--samples", "10", "--seed", "1", "--out", "o", "--config", str(cfg),
+                   cwd=tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"config error: config {cfg} is not valid JSON: a number must be finite, got {shown}\n"
+    assert not (tmp_path / "o").exists()
+
+
 # json.loads refuses an integer of more than sys.get_int_max_str_digits()
 # digits (4300 by default, from Python 3.11 and the 3.10 security releases)
 INT_DIGITS_LIMITED = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 5000
@@ -454,6 +474,56 @@ class TestHugeCounts:
         # the usage text, and past parsing the progress line, state no count in full either
         assert len(proc.stderr.encode()) < 1000
         assert not (tmp_path / "x").exists()
+
+
+class TestLongArguments:
+    """A refusal echoes no argument in full: one line, well under 1,000 bytes of stderr."""
+
+    @pytest.mark.parametrize(
+        "args,prefix",
+        [
+            (["analyze", "--N", "5", "--out", "d/" * 3000 + "x"], "stickfrag analyze: error: argument --out: "),
+            (["simulate", "--N", "5", "--samples", "10", "--seed", "1", "--out", "d/" * 3000 + "x"],
+             "stickfrag simulate: error: argument --out: "),
+            (["analyze", "--N", "5", "--out", "x" * 300], "stickfrag analyze: error: argument --out: "),
+            (["classify", "--base", "1" * 5000 + "x"], "stickfrag classify: error: argument --base: "),
+            (["classify", "--tolerance", "1" + "0" * 3000], "stickfrag classify: error: argument --tolerance: "),
+            (["analyze", "--N", "5", "--out", "x", "--ks-threshold", "0." + "0" * 2998 + "x"],
+             "stickfrag analyze: error: argument --ks-threshold: "),
+            (["analyze", "--N", "5", "--out", "x", "--length", "y" * 5000], "stickfrag analyze: error: argument --length: "),
+            (["analyze", "--N", "5", "--out", "x", "--measure", "y" * 5000],
+             "stickfrag analyze: error: argument --measure: "),
+            (["analyze", "--N", "5", "--out", "x", "--measure", "y " * 2500],
+             "stickfrag analyze: error: argument --measure: "),
+            # bounded in bytes: 3 a character, and 6 for a byte of argv that is no UTF-8 (written as \udcff)
+            (["analyze", "--N", "5", "--out", "x", "--measure", "\u4e2d " * 400],
+             "stickfrag analyze: error: argument --measure: "),
+            (["analyze", "--N", "5", "--out", "x", "--measure", "\udcff " * 400],
+             "stickfrag analyze: error: argument --measure: "),
+            (["z" * 5000], "stickfrag: error: argument command: "),
+            (["classify", "--config", "c" * 5000], "config error: cannot read config "),
+        ],
+        ids=["analyze-out-past-path-max", "simulate-out-past-path-max", "out-name-past-name-max", "base-chars",
+             "tolerance-digits", "ks-threshold-chars", "length-chars", "measure-chars", "measure-words",
+             "measure-wide-words", "measure-undecodable-words",
+             "command-chars", "config-path"],
+    )
+    def test_refused_in_one_short_line(self, args, prefix, fig7_config, tmp_path):
+        # --out past PATH_MAX ended in an OSError traceback (exit 1); the others echoed the value in full
+        argv = args if "--config" in args else [*args, "--config", str(fig7_config)]
+        proc = run_cli(*argv, cwd=tmp_path, timeout=10)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        (line,) = TestHugeCounts.refusal_lines(proc)
+        assert line.startswith(prefix)
+        assert len(proc.stderr.encode()) < 1000
+        assert not (tmp_path / "x").exists() and not (tmp_path / "d").exists()
+
+    def test_config_base_wins_over_a_long_base_flag(self, fig7_config):
+        proc = run_cli("classify", "--config", str(fig7_config), "--base", "1" + "0" * 4000)
+        assert proc.returncode == 0, proc.stderr[:300]
+        assert json.loads(proc.stdout)["base"] == 10
 
 
 class TestSimulate:

@@ -7,18 +7,28 @@ import pytest
 
 from stickfrag import (
     BENFORD,
+    MEASURE_UNIFORM,
     NON_BENFORD,
     ConfigError,
     ExponentSpec,
     ExponentVerdict,
     ProportionVector,
+    RandomProportions,
+    WeightedMod1Distribution,
+    benford_report,
+    cdf_mod1,
     classify_rationality,
+    empirical_verdict,
+    exact_residues_rational,
     exponents_from_proportions,
     make_model,
     parse_config,
     predict_benford,
     proportions_from_exponents,
+    rotate_distribution,
+    significand,
 )
+from stickfrag.model import exponent_entry
 
 
 class TestMakeModel:
@@ -323,3 +333,57 @@ def rational_verdict(numerator, denominator):
 def test_argument_checks(call, exc, fragment):
     with pytest.raises(exc, match=fragment):
         call()
+
+
+# Every real-valued argument is judged by model._check_real.  Each site is
+# (call, name, lo, hi, ends, a float inside the range, an int inside it or
+# None when none lies there); the call returns what the site keeps of the value.
+D = WeightedMod1Distribution(np.array([0.2, 0.7]), np.array([0.5, 0.5]), MEASURE_UNIFORM, 1, 2)
+REAL_SITES = {
+    "exponent_entry": (lambda v: float(exponent_entry(v)), "exponent", -math.inf, math.inf, "()", -0.5, -1),
+    "ProportionVector": (lambda v: ProportionVector((v, 0.5)).p[0], "proportion", 0.0, 1.0, "()", 0.5, None),
+    "make_model": (lambda v: make_model([v]).p[0], "free proportion", -math.inf, math.inf, "()", 0.25, None),
+    "concentration": (lambda v: RandomProportions(2, (v, 1.0)).concentration[0], "concentration parameter",
+                      0.0, math.inf, "()", 2.0, 2),
+    "tolerance": (lambda v: classify_rationality(ExponentSpec((0.5,)), tolerance=v).tolerance, "tolerance",
+                  0.0, math.inf, "()", 0.125, 1),
+    "benford_report": (lambda v: benford_report(D, 10, v).ks_threshold, "ks_threshold", 0.0, math.inf, "()", 0.25, 1),
+    "empirical_verdict": (lambda v: empirical_verdict(0.25, v), "ks_threshold", 0.0, math.inf, "()", 0.25, 1),
+    "significand": (lambda v: significand(v), "x", 0.0, math.inf, "()", 0.75, 7),
+    "cdf_mod1": (lambda v: cdf_mod1(D, v), "s", 0.0, 1.0, "[]", 0.75, 1),
+    "base_offset": (lambda v: exact_residues_rational([(1, 2)], 3, v).offset, "base_offset",
+                    -math.inf, math.inf, "()", 0.25, 3),
+    "rotate_distribution": (lambda v: rotate_distribution(D, v).residues.tobytes(), "shift",
+                            -math.inf, math.inf, "()", 0.25, 3),
+}
+
+
+def _real_cases():
+    for site, (call, name, lo, hi, ends, inside, integer) in REAL_SITES.items():
+        refused = [("bool", True, TypeError), ("str", str(inside), TypeError), ("nan", math.nan, ValueError),
+                   ("inf", math.inf, ValueError), ("-inf", -math.inf, ValueError),
+                   ("int-past-double", 10**400, ValueError)]
+        # just outside: an open end itself, or the next double past a closed one
+        if lo > -math.inf:
+            refused.append(("below", lo if ends[0] == "(" else math.nextafter(lo, -math.inf), ValueError))
+        if hi < math.inf:
+            refused.append(("above", hi if ends[1] == ")" else math.nextafter(hi, math.inf), ValueError))
+        for case, value, exc in refused:
+            yield pytest.param(call, name, value, exc, None, id=f"{site}-{case}")
+        accepted = [("numpy-float", np.float64(inside), inside), ("numpy-float32", np.float32(inside), inside),
+                    ("fraction", Fraction(inside), inside)]
+        if integer is not None:
+            accepted.append(("numpy-int", np.int64(integer), integer))
+        for case, value, same_as in accepted:
+            yield pytest.param(call, name, value, None, same_as, id=f"{site}-{case}")
+
+
+@pytest.mark.parametrize("call,name,value,exc,same_as", list(_real_cases()))
+def test_real_arguments_judged_by_one_rule(call, name, value, exc, same_as):
+    if exc is not None:
+        with pytest.raises(exc, match=f"^{name} must be "):
+            call(value)
+    else:
+        # the site keeps what it keeps of the Python float (int), bit for bit
+        got, expected = call(value), call(same_as)
+        assert type(got) is type(expected) and repr(got) == repr(expected)
