@@ -43,6 +43,8 @@ ALIGN_TOL = 1e-9  # atoms of two distributions this close are one location
 _BYTE_LIMIT = 4 << 30
 _CHUNK_ROWS = 1 << 17
 _CSV_BLOCK_ROWS = 1 << 13
+_RADIX_BUCKETS = 1 << 16  # _stable_order's radix pass: floor(r * 2^16), a uint16
+_RUN_ROWS = 1 << 13  # its run pass sorts whole bucket runs about this many rows at a time
 
 
 def _check_measure(measure: str) -> None:
@@ -395,6 +397,49 @@ def _cluster_differences(
     return points, np.bincount(cid, weights=np.concatenate([a.masses, -b.masses])[order])
 
 
+def _stable_order(residues: np.ndarray) -> np.ndarray:
+    """np.argsort(residues.view(np.int64), kind="stable"), the same permutation,
+    for finite residues >= +0.0 and < 1, as _frac returns them.
+
+    That permutation orders the rows by (bits, index), and for these values
+    the int64 order of the bits is the float order.  The radix pass takes
+    each row's bucket floor(r * 2^16) as a uint16 and stable-sorts the
+    buckets (numpy's stable sort of a 16-bit type is a radix sort), which
+    puts the rows in (bucket, index) order.  The multiply by a power of two
+    is exact, so the bucket never falls as r rises and equal bits share a
+    bucket: a row can be out of (bits, index) order only inside its
+    bucket's run, where the rows keep their index order.  The run pass
+    stable-sorts each run by its bits, whole runs about _RUN_ROWS rows at a
+    time; a block of whole runs sorts as its runs would one by one, since a
+    later run's bits are all larger.  numpy's stable sort of 64-bit keys is
+    timsort, which is fast on a run's nearly sorted keys (in practice one
+    cluster).
+
+    Beside the returned permutation (8 B a row) it holds the buckets (2 B a
+    row); numpy's radix pass takes a buffer of 8 B a row from malloc, which
+    tracemalloc does not see.  Each block's end is a binary search over the
+    sorted buckets read through the permutation (searchsorted's sorter), so
+    no sorted copy of the buckets is made.
+    """
+    bits = residues.view(np.int64)
+    n = len(bits)
+    # the cast truncates, which is the floor here: every product lies in
+    # [0, 2^16); numpy casts through its own small buffer, so no float
+    # product array is built
+    bucket = np.multiply(residues, float(_RADIX_BUCKETS), out=np.empty(n, dtype=np.uint16), casting="unsafe")
+    order = np.argsort(bucket, kind="stable")
+    # block k ends where the run holding row k * _RUN_ROWS of the radix order
+    # ends; a run longer than a block repeats its end, which leaves an empty block
+    block_ends = np.searchsorted(bucket, bucket[order[_RUN_ROWS::_RUN_ROWS]], side="right", sorter=order)
+    del bucket
+    start = 0
+    for stop in [*block_ends.tolist(), n]:
+        block = order[start:stop]
+        block[:] = block[np.argsort(bits[block], kind="stable")]
+        start = stop
+    return order
+
+
 def _merge_atoms(residues: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort atoms and merge residues closer than MERGE_TOL (chained).
 
@@ -407,6 +452,14 @@ def _merge_atoms(residues: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     merged residue is the plain mean of the cluster: it stays inside the
     cluster's span, so representatives of distinct clusters keep their
     order.
+
+    _stable_order builds that permutation from a radix pass over the 16-bit
+    buckets floor(r * 2^16) and a timsort of each bucket's run by its bits.
+    The multiply is exact, so the buckets keep the residues' order and
+    equal bits share one: only rows inside a run can be out of order, and
+    the result is numpy's stable argsort of the bits.  It holds the buckets,
+    2 B a row, and numpy's radix buffer, 8 B a row from malloc, which
+    tracemalloc does not see.
 
     Equal weights, passed as one value broadcast (stride 0), are
     interchangeable: any index of them reads the one value, so every sum
@@ -427,7 +480,7 @@ def _merge_atoms(residues: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     """
     equal = weights.strides == (0,)
     if not equal:
-        order = np.argsort(residues.view(np.int64), kind="stable")
+        order = _stable_order(residues)
     residues.sort()
     starts = np.flatnonzero(_cluster_starts(residues, MERGE_TOL))
     lens = np.diff(starts, append=len(residues))

@@ -197,13 +197,17 @@ def make_model(p: list[float] | tuple[float, ...]) -> ProportionVector:
     """Build the full m-vector from the m-1 free proportions.
 
     The last proportion is forced: pm = 1 - sum(p).  This refuses an empty
-    list, a non-finite entry (_check_real) and a sum >= 1; ProportionVector
-    refuses any entry outside (0, 1).
+    list, a non-finite entry (_check_real), a sum >= 1 and entries whose
+    partial sums leave double range (each such sum has an entry of size
+    above 1); ProportionVector refuses any entry outside (0, 1).
     """
     p = tuple(_check_real("free proportion", x) for x in p)
     if len(p) < 1:
         raise ValueError("need at least one free proportion")
-    total = math.fsum(p)
+    try:
+        total = math.fsum(p)
+    except OverflowError:
+        raise ValueError("free proportions must each lie in (0, 1); their partial sums leave double range") from None
     if total >= 1.0:
         raise ValueError(f"free proportions sum to {total}, must be < 1")
     return ProportionVector(p + (1.0 - total,))

@@ -124,18 +124,20 @@ def _sample_chunk(config: SamplerConfig, N: int, base: int, chunk_index: int, n:
         return _residues(rng.multinomial(N, probs, size=n), p, base)
     alpha = np.array(config.mode.concentration)
     uniform = config.measure == MEASURE_UNIFORM
-    # the module docstring's flat draw: for alpha = 1 rng.dirichlet draws, row by row,
-    # the exponentials standard_exponential((n, m)) draws, so the stream keeps its bits
+    # the module docstring's flat draw: for alpha = 1 rng.dirichlet draws, row by row, the
+    # exponentials standard_exponential writes into an (n, m) array, so the stream keeps its bits
     flat = uniform and bool((alpha == 1).all())
     total = np.zeros(n)
     # flat offset of each row in the C-contiguous (n, m) draw, so one
     # 1-d gather picks each row's coordinate
     rows = np.arange(n) * m
+    # the flat stages refill one (n, m) buffer in place of a new array a stage
+    draw = np.empty((n, m)) if flat and N else None
     # a proportion that underflowed to 0.0 sends total to -inf, checked once below
     with np.errstate(divide="ignore"):
         for _ in range(N):
             if flat:
-                P = rng.standard_exponential((n, m))
+                P = rng.standard_exponential(out=draw)
                 # 1 / row sum, the sum added in dirichlet's order ((0 + e_0) + e_1) + ...
                 inv = P[:, 0].copy()
                 for j in range(1, m):
@@ -163,7 +165,7 @@ def _sample_chunk(config: SamplerConfig, N: int, base: int, chunk_index: int, n:
                 pick *= inv  # the multiply rng.dirichlet makes, on the one coordinate read
                 del inv
             total += log_base(pick, base)
-            # only total and rows are held through the next stage's draw
+            # only total, rows and the flat buffer are held through the next stage's draw
             del pick
     if np.isneginf(total).any():
         raise ValueError(

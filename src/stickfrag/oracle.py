@@ -39,7 +39,9 @@ from .model import ProportionVector, _check_base, _check_count, _check_real, exp
 # brute_force_leaves refuses above this many leaves.  cross_check, the
 # oracle's largest caller, peaks at 27 B a leaf (19 for `uniform`) while it
 # tallies the brute-force atoms, and its tests hold it to 30 B (20), so 10^7
-# leaves stay near 0.27 GB, below the exact engine's _BYTE_LIMIT (4 GiB)
+# leaves stay near 0.27 GB, and 0.35 GB with the 8 B a leaf that the merge's
+# radix pass takes from malloc, where tracemalloc does not see it; both are
+# below the exact engine's _BYTE_LIMIT (4 GiB)
 BRUTE_FORCE_GUARD = 10**7
 # exact_residue_distribution's limit on its work estimate (see there): it
 # accepts fig3-fig6 at N=10^5, and length calls at the limit take 1.4-4.3 s

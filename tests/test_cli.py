@@ -102,6 +102,16 @@ class TestClassify:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "config error: bad exponents: exponents produce proportions outside double range\n"
 
+    def test_overflowing_proportion_sum_exits_2(self, tmp_path):
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps({"proportions": [1e308, 1e308]}))
+        proc = run_cli("classify", "--config", str(cfg))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            "config error: bad proportions: free proportions must each lie in (0, 1); "
+            "their partial sums leave double range\n"
+        )
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("classify", "--config", str(tmp_path / "nope.json")).returncode == 2
 

@@ -35,6 +35,8 @@ from stickfrag.enumeration import (
     MEASURES,
     MERGE_TOL,
     _CHUNK_ROWS,
+    _RADIX_BUCKETS,
+    _RUN_ROWS,
     _cluster_starts,
     _count_text,
     _frac,
@@ -43,10 +45,11 @@ from stickfrag.enumeration import (
     _merge_atoms,
     _peak_bytes,
     _residues,
+    _stable_order,
     composition_array,
 )
 from stickfrag.montecarlo import write_metadata_json, write_samples_csv
-from stickfrag.oracle import brute_force_leaves
+from stickfrag.oracle import brute_force_leaves, distribution_from_leaves
 
 FIG7 = proportions_from_exponents(ExponentSpec((Fraction(-1, 2), -math.sqrt(2))))
 FIG9 = proportions_from_exponents(ExponentSpec((-math.sqrt(2), Fraction(-1, 3), Fraction(-1, 4))))
@@ -683,6 +686,120 @@ class TestMergeAtoms:
     def test_equal_weight_samples(self, mode, N):
         residues, _ = sample_leaf_residues(SamplerConfig(seed=3, samples=2**15, mode=mode), N)
         equal_weight_merge_matches_reference(residues, 1.0 / len(residues))
+
+
+def numpy_order(residues):
+    """The permutation _stable_order must return: numpy's stable argsort of the bit patterns."""
+    return np.argsort(residues.view(np.int64), kind="stable")
+
+
+def assert_numpy_order(residues):
+    assert np.array_equal(_stable_order(residues), numpy_order(residues))
+
+
+# the appendix figures' exponents, at the N the appendix benchmark runs them
+APPENDIX_EXPONENTS = {
+    "fig3": (Fraction(-1, 3), Fraction(-1, 2)),
+    "fig4": (Fraction(-1, 4), Fraction(-1, 6)),
+    "fig5": (Fraction(-1, 2), Fraction(-1, 3), Fraction(-1, 4)),
+    "fig6": (Fraction(-1, 4), Fraction(-1, 2), Fraction(-1, 6)),
+    "fig7": (Fraction(-1, 2), -math.sqrt(2)),
+    "fig8": (Fraction(-1, 3), -math.sqrt(3)),
+    "fig9": (-math.sqrt(2), Fraction(-1, 3), Fraction(-1, 4)),
+    "fig10": (-math.sqrt(3), Fraction(-1, 10), Fraction(-1, 8)),
+}
+APPENDIX_N = {3: 200, 4: 40}
+BRUTE_POINTS = [(ProportionVector((0.3, 0.7)), 19), (FIG7, 11), (FIG9, 9)]
+
+
+class TestStableOrder:
+    def test_exact_ties(self):
+        rng = np.random.default_rng(1)
+        assert_numpy_order(rng.choice(np.append(rng.random(300), 0.0), 50_000))
+
+    def test_bucket_edges(self):
+        # k / 2^16 is a bucket's first value and the ulp below it the last
+        # of the bucket before; each appears many times, shuffled
+        rng = np.random.default_rng(2)
+        edges = np.append(rng.integers(1, _RADIX_BUCKETS, 500), [1, 2, _RADIX_BUCKETS - 1]) / _RADIX_BUCKETS
+        values = np.concatenate([[0.0], edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        residues = rng.choice(values, 40_000)
+        assert np.array_equal(np.floor(edges * _RADIX_BUCKETS) - 1, np.floor(np.nextafter(edges, 0.0) * _RADIX_BUCKETS))
+        assert_numpy_order(residues)
+
+    def test_extreme_values(self):
+        # +0.0, the smallest subnormal, the largest subnormal, the smallest
+        # normal and the largest double below 1, which lands in the last bucket
+        tiny = np.finfo(np.float64).smallest_normal
+        values = np.array([0.0, 5e-324, np.nextafter(tiny, 0.0), tiny, 1.0 - 2.0**-53, 0.5])
+        assert int(values[4] * _RADIX_BUCKETS) == _RADIX_BUCKETS - 1
+        rng = np.random.default_rng(3)
+        assert_numpy_order(rng.choice(values, 10_000))
+        assert_numpy_order(values[::-1].copy())
+
+    def test_two_patterns_alternating_in_one_bucket(self):
+        # the ulp above 0.5 and 0.5 share a bucket and alternate row by row,
+        # so every row of the run is out of order after the radix pass
+        a = np.nextafter(0.5, 1.0)
+        residues = np.tile([a, 0.5], 3 * _RUN_ROWS)
+        assert_numpy_order(residues)
+        assert_numpy_order(np.concatenate([np.linspace(0.0, 0.9, 1000), residues, np.linspace(0.9, 0.0, 1000)]))
+
+    def test_run_longer_than_a_block(self):
+        # one bucket holds 3 blocks' worth of shuffled values (ties among
+        # them), between shorter runs on both sides
+        rng = np.random.default_rng(4)
+        k = 777
+        long_run = (k + rng.integers(0, 1 << 20, 3 * _RUN_ROWS) / (1 << 20)) / _RADIX_BUCKETS
+        residues = np.concatenate([rng.random(5000), long_run, rng.random(5000)])
+        rng.shuffle(residues)
+        assert (np.floor(long_run * _RADIX_BUCKETS) == k).all()
+        assert_numpy_order(residues)
+
+    @pytest.mark.parametrize("n", [1, 2, _RUN_ROWS, _RUN_ROWS + 1, 2 * _RUN_ROWS + 1])
+    def test_sizes(self, n):
+        # up to one block no block end is found and the input is sorted as
+        # one block; from one row more the first block is cut at a run end
+        rng = np.random.default_rng(n)
+        assert_numpy_order(rng.choice(rng.random(n // 3 + 1), n))
+
+    def test_random_residues(self):
+        assert_numpy_order(np.random.default_rng(5).random(2**20))
+
+    @pytest.mark.parametrize("model,N", BRUTE_POINTS, ids=["split30", "fig7", "fig9"])
+    def test_brute_force_leaves(self, model, N, monkeypatch):
+        leaves = brute_force_leaves(model, N)
+        assert_numpy_order(_frac(np.log10(leaves.lengths)))
+        got = [distribution_from_leaves(leaves, measure=x) for x in MEASURES]
+        monkeypatch.setattr(enumeration, "_stable_order", numpy_order)
+        for dist, want in zip(got, (distribution_from_leaves(leaves, measure=x) for x in MEASURES)):
+            assert np.array_equal(bits(dist.residues), bits(want.residues))
+            assert np.array_equal(bits(dist.masses), bits(want.masses))
+
+    @pytest.mark.parametrize("fig", APPENDIX_EXPONENTS)
+    def test_appendix_residue_tables(self, fig, monkeypatch):
+        model = proportions_from_exponents(ExponentSpec(APPENDIX_EXPONENTS[fig]))
+        N = APPENDIX_N[model.m]
+        assert_numpy_order(_residues(composition_array(N, model.m), model.p, 10))
+        got = [exact_distribution(model, N, measure=x) for x in MEASURES]
+        monkeypatch.setattr(enumeration, "_stable_order", numpy_order)
+        for dist, want in zip(got, (exact_distribution(model, N, measure=x) for x in MEASURES)):
+            assert np.array_equal(bits(dist.residues), bits(want.residues))
+            assert np.array_equal(bits(dist.masses), bits(want.masses))
+
+    @pytest.mark.parametrize("n_clusters", [4096, 4097], ids=["pairwise", "bincount"])
+    def test_merge_matches_numpy_order(self, n_clusters, monkeypatch):
+        # both branches of the merge read the weights through the
+        # permutation; long clusters make long runs, short ones share buckets
+        lens = np.random.default_rng(n_clusters).integers(1, 41, n_clusters)
+        lens[:3] = 3 * _RUN_ROWS
+        residues, weights = clustered_atoms(lens, seed=n_clusters)
+        got = _merge_atoms(residues.copy(), weights)
+        monkeypatch.setattr(enumeration, "_stable_order", numpy_order)
+        want = _merge_atoms(residues.copy(), weights)
+        assert len(got[0]) == n_clusters
+        for a, b in zip(got, want):
+            assert np.array_equal(bits(a), bits(b))
 
 
 class TestRotation:

@@ -57,6 +57,15 @@ class TestMakeModel:
         with pytest.raises(ValueError):
             make_model([])
 
+    @pytest.mark.parametrize(
+        "bad", [[1e308, 1e308], [-1e308, -1e308], [1e308, 1e308, -1e308, -1e308]], ids=["up", "down", "cancelling"]
+    )
+    def test_sum_past_double_range_is_a_value_error(self, bad):
+        # math.fsum raises OverflowError when a partial sum leaves double
+        # range, even when the exact sum (the last case: 0) is in it
+        with pytest.raises(ValueError, match="partial sums leave double range"):
+            make_model(bad)
+
 
 class TestProportionVector:
     def test_renormalizes_within_slack(self):

@@ -400,6 +400,16 @@ class TestByteGuard:
         peak = traced_peak(lambda: _sample_chunk(config, 5, 10, 0, n))
         assert peak <= (8 * m + 40) * n + 4096
 
+    def test_no_draw_without_stages(self, traced_peak):
+        # N=0 runs no stage, so a flat chunk makes no (n, m) draw buffer:
+        # it holds the total, the row offsets and one float temporary of
+        # _frac, 8 B a row each, and _frac's 1 B snap mask
+        n, m = 2**16, 8
+        config = SamplerConfig(seed=1, samples=n, mode=RandomProportions(m, (1.0,) * m))
+        _sample_chunk(config, 1, 10, 0, 1)  # numpy's one-time allocations
+        peak = traced_peak(lambda: _sample_chunk(config, 0, 10, 0, n))
+        assert peak <= 25 * n + 4096
+
 
 @pytest.mark.parametrize(
     "call,exc,fragment",
